@@ -23,6 +23,7 @@
 pub mod bba;
 pub mod bola;
 pub mod cs2p;
+pub mod grid;
 pub mod mpc;
 pub mod pensieve;
 pub mod predictor;
@@ -30,6 +31,7 @@ pub mod predictor;
 pub use bba::Bba;
 pub use bola::Bola;
 pub use cs2p::Cs2pModel;
+pub use grid::BufferGrid;
 pub use mpc::{Mpc, MpcConfig, MpcScratch};
 pub use pensieve::{PensievePolicy, PensieveTrainer};
 pub use predictor::{HarmonicMean, RobustDiscount, ThroughputPredictor};

@@ -7,16 +7,26 @@
 //! prediction error (RobustMPC-HM).  After sending one chunk it replans
 //! (receding horizon).
 //!
-//! The plan is computed by value iteration over a discretized buffer, the
-//! same structure Fugu's stochastic controller uses (§4.4) — the only
-//! difference is that here the transmission time is a point estimate, so the
-//! expectation collapses to a single term.  Using the identical machinery for
-//! MPC, RobustMPC, and Fugu mirrors the paper's claim that "MPC and Fugu even
-//! share most of their codebase" (§5.1).
+//! The plan is computed by value iteration over a discretized buffer
+//! ([`BufferGrid`]), the same structure Fugu's stochastic controller uses
+//! (§4.4) — the only difference is that here the transmission time is a
+//! point estimate, so the expectation collapses to a single term.  Using the
+//! identical machinery for MPC, RobustMPC, and Fugu mirrors the paper's claim
+//! that "MPC and Fugu even share most of their codebase" (§5.1).
+//!
+//! Only the step-0 decision is used, and it reads the value table of step 1
+//! at just the bins the real buffer can move to.  So [`Mpc::plan_with`] runs
+//! two passes.  A forward pass ([`BufferGrid::mark_reach`], shared with
+//! Fugu) starts at `ctx.buffer` and marks, step by step, every bin some
+//! rung's transfer `size / throughput` leads to.  The backward pass then
+//! evaluates the (bin × previous rung) value table only at marked bins.  Pruning is exact: a marked bin's value depends only on the
+//! next step's values at bins the forward pass marked from it, and every
+//! value is computed with the same expressions in the same rung order as the
+//! full sweep of [`Mpc::plan_reference`].  Unmarked entries are never read.
 
 use crate::predictor::{HarmonicMean, RobustDiscount, ThroughputPredictor};
-use crate::{Abr, AbrContext, ChunkRecord, HORIZON};
-use puffer_media::{ChunkMenu, QoeParams, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
+use crate::{Abr, AbrContext, BufferGrid, ChunkRecord, HORIZON};
+use puffer_media::{ChunkMenu, QoeParams};
 
 /// Tuning knobs for the MPC family.
 #[derive(Debug, Clone, Copy)]
@@ -53,9 +63,9 @@ impl Default for MpcConfig {
 /// the planner is a simulation hot path (§5.1: "MPC and Fugu even share most
 /// of their codebase" — Fugu's `PlanScratch` got this treatment first).
 /// Every per-decision table lives here as a flat `Vec` indexed arithmetically
-/// — `value[bin·R + prev]`, `mu_stall`/`to_go[bin·R + a]`, `m[prev·R + a]` —
-/// so steady-state planning allocates nothing and the inner maximization
-/// walks contiguous rows.
+/// — `value[bin·R + prev]`, `mu_stall`/`to_go[bin·R + a]`, `m[prev·R + a]`,
+/// `reach[step·B + bin]` — so steady-state planning allocates nothing and the
+/// inner maximization walks contiguous rows.
 #[derive(Debug, Clone, Default)]
 pub struct MpcScratch {
     /// Value table for the step below, `bin * n_rungs + prev`.
@@ -68,8 +78,12 @@ pub struct MpcScratch {
     to_go: Vec<f64>,
     /// Quality-minus-smoothness term per `prev * n_rungs + a`.
     m: Vec<f64>,
-    /// Transmission time per rung of the step being expanded.
+    /// Transmission time per `step * n_rungs + a`.
     times: Vec<f64>,
+    /// Whether step `step` can be entered in a bin, `step * bins + bin`.
+    reach: Vec<bool>,
+    /// The marked bins of the step being evaluated, ascending.
+    live: Vec<usize>,
 }
 
 impl MpcScratch {
@@ -90,8 +104,8 @@ pub struct Mpc {
     predictor: RobustDiscount<HarmonicMean>,
     custom: Option<std::sync::Arc<dyn ThroughputPredictor + Send + Sync>>,
     /// Planner tables reused across decisions (planning is allocation-free
-    /// after the first chunk).  Not per-stream state: every entry is fully
-    /// rewritten by each plan, so `reset_stream` leaves it alone.
+    /// after the first chunk).  Not per-stream state: every entry a plan
+    /// reads is rewritten by that plan, so `reset_stream` leaves it alone.
     scratch: MpcScratch,
     name: &'static str,
 }
@@ -160,8 +174,9 @@ impl Mpc {
     ///
     /// Naive reference implementation of the value iteration, kept verbatim
     /// as the ground truth the optimized [`Mpc::plan_with`] is pinned
-    /// against.  Allocates fresh tables every call and re-evaluates the full
-    /// QoE expression in the innermost `(bin, prev, rung)` loop.
+    /// against.  Allocates fresh tables every call, sweeps every buffer bin
+    /// at every step, and re-evaluates the full QoE expression in the
+    /// innermost `(bin, prev, rung)` loop.
     ///
     /// Total: an empty `ctx.lookahead` (no upcoming chunk known — e.g. the
     /// tail of a live stream's encoder queue) falls back to rung 0 instead
@@ -176,9 +191,8 @@ impl Mpc {
         let horizon = self.config.horizon.min(ctx.lookahead.len());
         let menus: &[ChunkMenu] = &ctx.lookahead[..horizon];
         let n_rungs = menus[0].n_rungs();
-        let bins = self.config.buffer_bins;
-        let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let to_bin = |buffer: f64| -> usize { ((buffer / bin_w).round() as usize).min(bins - 1) };
+        let grid = BufferGrid::new(self.config.buffer_bins);
+        let bins = grid.bins();
 
         // value[bin][prev_rung] = best QoE-to-go from `step`, where prev_rung
         // indexes the previous step's menu.
@@ -188,7 +202,7 @@ impl Mpc {
             let menu = &menus[step];
             let prev_menu = &menus[step - 1];
             for bin in 0..bins {
-                let buffer = bin as f64 * bin_w;
+                let buffer = grid.level(bin);
                 for prev in 0..n_rungs {
                     let prev_ssim = prev_menu.options[prev].ssim_db;
                     let mut best = f64::NEG_INFINITY;
@@ -196,10 +210,11 @@ impl Mpc {
                         let t = opt.size / throughput;
                         let stall = (t - buffer).max(0.0);
                         let q = self.config.qoe.chunk_qoe(opt.ssim_db, Some(prev_ssim), stall);
-                        let next_buf =
-                            ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                        let to_go =
-                            if step + 1 < horizon { value[to_bin(next_buf)][a] } else { 0.0 };
+                        let to_go = if step + 1 < horizon {
+                            value[grid.next_bin(buffer, t)][a]
+                        } else {
+                            0.0
+                        };
                         best = best.max(q + to_go);
                     }
                     next_value[bin][prev] = best;
@@ -216,8 +231,7 @@ impl Mpc {
             let t = opt.size / throughput;
             let stall = (t - ctx.buffer).max(0.0);
             let q = self.config.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
-            let next_buf = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-            let to_go = if horizon > 1 { value[to_bin(next_buf)][a] } else { 0.0 };
+            let to_go = if horizon > 1 { value[grid.next_bin(ctx.buffer, t)][a] } else { 0.0 };
             let score = q + to_go;
             if score > best_score {
                 best_score = score;
@@ -229,11 +243,16 @@ impl Mpc {
 
     /// [`Mpc::plan_reference`] through caller-owned [`MpcScratch`] tables:
     /// identical decisions, zero heap allocations once the scratch has warmed
-    /// up to the (rungs, bins) shape.
+    /// up to the (horizon, rungs, bins) shape.
+    ///
+    /// A forward pass first marks the bins each step can be entered in,
+    /// starting from `ctx.buffer` and following every rung's transfer time.
+    /// The backward pass evaluates only marked bins (see the module docs for
+    /// why that is exact).
     ///
     /// Everything that does not depend on the previous rung is hoisted out of
     /// the inner `(bin, prev, rung)` loop: the transmission time `t = size /
-    /// throughput` (per rung), the stall term `µ·(t − buffer)⁺` and the
+    /// throughput` (per step × rung), the stall term `µ·(t − buffer)⁺` and the
     /// post-transfer buffer bin (per rung × buffer bin), and the quality part
     /// of `chunk_qoe` (folded into the per-`(prev, rung)` smoothness table
     /// `m`).  The surviving inner-loop work is one subtraction, one addition,
@@ -248,7 +267,7 @@ impl Mpc {
     /// matches the reference on ties too.  Pinned by the property tests
     /// below.
     // lint-root: panic-free, alloc-free
-    // lint: panic-free — DP indices are bounded by the horizon*bins dims that size the tables at the top of the fn
+    // lint: panic-free — DP and reach-table indices are bounded by the horizon*rungs and horizon*bins dims that size the tables at the top of the fn, and BufferGrid bins are below `bins`
     // lint: alloc-free — scratch tables grow once to horizon*bins; warm calls are allocation-free per tests/alloc_gate.rs
     pub fn plan_with(&self, ctx: &AbrContext, throughput: f64, scratch: &mut MpcScratch) -> usize {
         if ctx.lookahead.is_empty() {
@@ -257,46 +276,65 @@ impl Mpc {
         let horizon = self.config.horizon.min(ctx.lookahead.len());
         let menus: &[ChunkMenu] = &ctx.lookahead[..horizon];
         let n_rungs = menus[0].n_rungs();
-        let bins = self.config.buffer_bins;
-        let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let to_bin = |buffer: f64| -> usize { ((buffer / bin_w).round() as usize).min(bins - 1) };
+        let grid = BufferGrid::new(self.config.buffer_bins);
+        let bins = grid.bins();
         let mu = self.config.qoe.mu;
         let lambda = self.config.qoe.lambda;
 
-        // (Re)shape the tables; `value` must start zeroed (terminal step),
-        // everything else is fully overwritten before being read.
-        scratch.value.clear();
+        // (Re)shape the tables.  `reach` starts cleared; every other entry
+        // the DP reads is written earlier in the same call.
         scratch.value.resize(bins * n_rungs, 0.0);
         scratch.next_value.resize(bins * n_rungs, 0.0);
         scratch.mu_stall.resize(bins * n_rungs, 0.0);
         scratch.to_go.resize(bins * n_rungs, 0.0);
         scratch.m.resize(n_rungs * n_rungs, 0.0);
-        scratch.times.resize(n_rungs, 0.0);
+        scratch.times.resize(horizon * n_rungs, 0.0);
+        scratch.reach.clear();
+        scratch.reach.resize(horizon * bins, false);
+        scratch.live.clear();
+        scratch.live.reserve(bins);
 
+        // Per (step, rung): the deterministic transmission time.
+        for (step, menu) in menus.iter().enumerate() {
+            let times = &mut scratch.times[step * n_rungs..(step + 1) * n_rungs];
+            for (t, opt) in times.iter_mut().zip(&menu.options) {
+                *t = opt.size / throughput;
+            }
+        }
+
+        // Forward pass: mark the bins each step can be entered in through
+        // every rung's transfer — exactly the `value` entries the backward
+        // pass and step 0 read.
+        let times = &scratch.times;
+        grid.mark_reach(
+            &mut scratch.reach,
+            |step| &times[step * n_rungs..(step + 1) * n_rungs],
+            |&t| grid.next_bin(ctx.buffer, t),
+            |bin, &t| grid.next_bin(grid.level(bin), t),
+        );
+
+        // Backward pass over the marked bins only.
         for step in (1..horizon).rev() {
             let menu = &menus[step];
             let prev_menu = &menus[step - 1];
+            let times = &scratch.times[step * n_rungs..(step + 1) * n_rungs];
+            scratch.live.clear();
+            scratch.live.extend((0..bins).filter(|&bin| scratch.reach[step * bins + bin]));
 
-            // Per rung: the deterministic transmission time.
-            for (t, opt) in scratch.times.iter_mut().zip(&menu.options) {
-                *t = opt.size / throughput;
-            }
             // Per (buffer bin, rung): µ·stall and the value-to-go after the
             // transfer — both independent of the previous rung.
             let last_step = step + 1 >= horizon;
-            for bin in 0..bins {
-                let buffer = bin as f64 * bin_w;
+            for &bin in &scratch.live {
+                let buffer = grid.level(bin);
                 let ms_row = &mut scratch.mu_stall[bin * n_rungs..(bin + 1) * n_rungs];
                 let tg_row = &mut scratch.to_go[bin * n_rungs..(bin + 1) * n_rungs];
                 for a in 0..n_rungs {
-                    let t = scratch.times[a];
+                    let t = times[a];
                     ms_row[a] = mu * (t - buffer).max(0.0);
                     tg_row[a] = if last_step {
                         0.0
                     } else {
-                        let next_buf =
-                            ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                        scratch.value[to_bin(next_buf) * n_rungs + a]
+                        scratch.value[grid.next_bin(buffer, t) * n_rungs + a]
                     };
                 }
             }
@@ -309,7 +347,7 @@ impl Mpc {
                 }
             }
             // The maximization: all rows contiguous in the rung index.
-            for bin in 0..bins {
+            for &bin in &scratch.live {
                 let ms_row = &scratch.mu_stall[bin * n_rungs..(bin + 1) * n_rungs];
                 let tg_row = &scratch.to_go[bin * n_rungs..(bin + 1) * n_rungs];
                 let nv_row = &mut scratch.next_value[bin * n_rungs..(bin + 1) * n_rungs];
@@ -334,9 +372,11 @@ impl Mpc {
             let t = opt.size / throughput;
             let stall = (t - ctx.buffer).max(0.0);
             let q = self.config.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
-            let next_buf = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-            let to_go =
-                if horizon > 1 { scratch.value[to_bin(next_buf) * n_rungs + a] } else { 0.0 };
+            let to_go = if horizon > 1 {
+                scratch.value[grid.next_bin(ctx.buffer, t) * n_rungs + a]
+            } else {
+                0.0
+            };
             let score = q + to_go;
             if score > best_score {
                 best_score = score;
@@ -378,7 +418,7 @@ impl Abr for Mpc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use puffer_media::ChunkOption;
+    use puffer_media::{ChunkOption, CHUNK_SECONDS};
     use puffer_net::TcpInfo;
 
     /// A static 4-rung menu repeated over the horizon.
@@ -516,19 +556,31 @@ mod tests {
 
     #[test]
     fn scratch_survives_changing_shapes() {
-        // Alternate lookahead lengths, rung counts, and discretizations with
-        // one scratch; stale table contents must never leak into a decision.
+        // Alternate lookahead lengths, discretizations, buffers and
+        // throughputs with one scratch.  Each buffer reaches a different set
+        // of bins.  The value tables are poisoned before every plan, so
+        // reading an entry the forward pass did not mark would swing the
+        // decision.
         let h = history_at(3.0e6 / 8.0);
         let mut scratch = MpcScratch::new();
         for (len, bins) in [(5usize, 61usize), (1, 61), (5, 31), (3, 121), (5, 61)] {
             let m = menus(len);
-            let c = ctx(5.0, &m, &h);
             let mpc = Mpc::new(MpcConfig { buffer_bins: bins, ..MpcConfig::default() });
-            assert_eq!(
-                mpc.plan_with(&c, 400_000.0, &mut scratch),
-                mpc.plan_reference(&c, 400_000.0),
-                "lookahead={len} bins={bins}"
-            );
+            for i in 0..=60 {
+                let buffer = 0.25 * i as f64;
+                for throughput in [60_000.0, 400_000.0, 900_000.0] {
+                    for table in [&mut scratch.value, &mut scratch.next_value] {
+                        table.clear();
+                        table.resize(bins * m[0].n_rungs(), 1e300);
+                    }
+                    let c = ctx(buffer, &m, &h);
+                    assert_eq!(
+                        mpc.plan_with(&c, throughput, &mut scratch),
+                        mpc.plan_reference(&c, throughput),
+                        "lookahead={len} bins={bins} buffer={buffer} throughput={throughput}"
+                    );
+                }
+            }
         }
     }
 

@@ -7,19 +7,38 @@
 //! ```
 //!
 //! where the transmission-time distribution comes from the TTP.  "To make the
-//! DP computationally feasible, it discretizes Bᵢ into bins" — we evaluate
-//! the recursion backward over (buffer bin × previous rung) exactly as the
-//! deterministic MPC in `puffer-abr` does; the only difference is the
-//! expectation over the 21 time bins.  With `point_estimate = true` the
-//! distribution is collapsed to its maximum-likelihood bin, which is the
-//! "Point Estimate" ablation deployed in August 2019 (§4.6) whose rebuffering
-//! was 3–9× worse.
+//! DP computationally feasible, it discretizes Bᵢ into bins" — the buffer
+//! grid ([`BufferGrid`]) and the backward recursion over (buffer bin ×
+//! previous rung) are those of the deterministic MPC in `puffer-abr`; the
+//! only difference is the expectation over the 21 time bins.  With
+//! `point_estimate = true` the distribution is collapsed to its
+//! maximum-likelihood bin, which is the "Point Estimate" ablation deployed in
+//! August 2019 (§4.6) whose rebuffering was 3–9× worse.
+//!
+//! The paper's controller runs the recursion forward with memoization, so it
+//! only ever evaluates states the real buffer can reach.  The planner here
+//! gets the same saving in two passes.  A forward pass
+//! ([`BufferGrid::mark_reach`], shared with MPC) starts at `ctx.buffer` and
+//! marks, step by step, the bins reachable through every time bin whose mass
+//! passes the `PROB_EPSILON` skip test for some rung.
+//! The backward pass then builds the stall/value-to-go table `W` and the
+//! maximization only at marked bins.  Pruning is exact: a marked bin's value
+//! reads the next step's values only at bins the forward pass marked from
+//! it, every value is computed with the same expressions in the same order
+//! as a full sweep, and unmarked entries are never read.  The forward pass
+//! costs O(reachable bins × supported time bins) per step, because it first
+//! takes the union of the supported time bins across rungs.
 
 use crate::bins::{bin_midpoint, N_BINS};
 use crate::ttp::{Ttp, TtpScratch};
-use puffer_abr::AbrContext;
-use puffer_media::{QoeParams, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
+use puffer_abr::{AbrContext, BufferGrid};
+use puffer_media::QoeParams;
 use puffer_nn::loss::argmax;
+
+/// Probability mass below this is skipped; the TTP's distributions
+/// concentrate in a handful of bins.  NaN is not below it, so a NaN mass is
+/// evaluated like any other.
+const PROB_EPSILON: f64 = 1e-4;
 
 /// Controller tuning.
 #[derive(Debug, Clone, Copy)]
@@ -42,11 +61,11 @@ impl Default for ControllerConfig {
 ///
 /// Every per-decision quantity of the value iteration lives here as a flat
 /// `Vec` indexed arithmetically — `dists[(step·R + a)·T + b]`,
-/// `value[bin·R + prev]`, `w[a·B + bin]`, `m[a·R + prev]` — so steady-state
-/// planning (one call per chunk, ~every 2 s per stream, thousands of streams)
-/// allocates nothing and reuses cache-friendly contiguous storage.  The
-/// `stall`/`next_bin` tables depend only on the buffer discretization and are
-/// computed once per configuration.
+/// `value[bin·R + prev]`, `w[a·B + bin]`, `m[a·R + prev]`,
+/// `reach[step·B + bin]` — so steady-state planning (one call per chunk, ~every
+/// 2 s per stream, thousands of streams) allocates nothing and reuses
+/// cache-friendly contiguous storage.  The `stall`/`next_bin` tables depend
+/// only on the buffer discretization and are computed once per configuration.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
     /// Time distributions, `(step * n_rungs + a) * N_BINS + b`.
@@ -59,6 +78,14 @@ pub struct PlanScratch {
     w: Vec<f64>,
     /// Quality-minus-variation term, `a * n_rungs + prev`.
     m: Vec<f64>,
+    /// Whether step `step` can be entered in a bin, `step * bins + bin`.
+    reach: Vec<bool>,
+    /// The marked bins of the step being evaluated, ascending.
+    live: Vec<usize>,
+    /// The time bins some rung of a step gives non-skipped mass, ascending
+    /// from `step * N_BINS`; `n_support[step]` of them.
+    support: Vec<usize>,
+    n_support: Vec<usize>,
     /// `(t − buffer).max(0)` per `(time bin b) * bins + (buffer bin)`.
     stall: Vec<f64>,
     /// Post-transfer buffer bin per `(time bin b) * bins + (buffer bin)`.
@@ -76,13 +103,13 @@ impl PlanScratch {
         Self::default()
     }
 
-    /// (Re)build the discretization-dependent tables if `bins` changed.
-    /// `bin_w` is a function of `bins`, so keying on `bins` alone suffices.
+    /// (Re)build the discretization-dependent tables if the grid changed.
+    /// A grid is a function of its bin count, so keying on `bins` suffices.
     /// The entries use the exact expressions the planner previously evaluated
     /// inline, keeping decisions bit-identical.
-    // lint: panic-free — table indices come from the same 0..N_BINS*bins loops that size the tables
     // lint: alloc-free — tables are rebuilt only when the bin count changes; warm plans reuse them (tests/alloc_gate.rs)
-    fn ensure_tables(&mut self, bins: usize, bin_w: f64) {
+    fn ensure_tables(&mut self, grid: BufferGrid) {
+        let bins = grid.bins();
         if self.table_bins == bins {
             return;
         }
@@ -93,10 +120,9 @@ impl PlanScratch {
         for b in 0..N_BINS {
             let t = bin_midpoint(b);
             for bin in 0..bins {
-                let buffer = bin as f64 * bin_w;
+                let buffer = grid.level(bin);
                 self.stall.push((t - buffer).max(0.0));
-                let next_buf = ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                self.next_bin.push(((next_buf / bin_w).round() as usize).min(bins - 1));
+                self.next_bin.push(grid.next_bin(buffer, t));
             }
         }
         self.table_bins = bins;
@@ -134,8 +160,9 @@ impl StochasticMpc {
     /// stall-plus-value-to-go term `W[a][buffer bin]` (independent of the
     /// previous rung), so one backward step costs
     /// O(rungs·bins·(time bins + rungs)) rather than the naive
-    /// O(bins·rungs²·time bins).  Probability mass below `PROB_EPSILON` is
-    /// skipped; the TTP's distributions concentrate in a handful of bins.
+    /// O(bins·rungs²·time bins), where `bins` counts only the buffer bins the
+    /// forward pass marked reachable.  Probability mass below `PROB_EPSILON`
+    /// is skipped; the TTP's distributions concentrate in a handful of bins.
     pub fn plan(&self, ctx: &AbrContext, ttp: &Ttp) -> usize {
         let mut scratch = PlanScratch::new();
         self.plan_with(ctx, ttp, &mut scratch)
@@ -187,26 +214,27 @@ impl StochasticMpc {
     /// split.  The point-estimate collapse (§4.6) happens here, per
     /// (step, rung) — order-independent, so collapsing after the fill is
     /// bit-identical to collapsing inside the fill loop.
-    // lint: panic-free — value/choice tables are sized by ensure_tables for exactly the indices the DP visits
-    // lint: alloc-free — value tables grow once per bin-count change; warm plans are allocation-free per tests/alloc_gate.rs
+    ///
+    /// A forward pass marks the bins each step can be entered in; the
+    /// backward pass evaluates only those (see the module docs).
+    // lint: panic-free — value, W and reach-table indices are bounded by the horizon*rungs*bins dims sized at the top of the fn, and stall/next_bin rows by ensure_tables
+    // lint: alloc-free — value and reach tables grow once per shape change; warm plans are allocation-free per tests/alloc_gate.rs
     pub fn plan_from_dists(
         &self,
         ctx: &AbrContext,
         ttp_horizon: usize,
         scratch: &mut PlanScratch,
     ) -> usize {
-        const PROB_EPSILON: f64 = 1e-4;
         let horizon = ttp_horizon.min(ctx.lookahead.len());
         let n_rungs = ctx.n_rungs();
-        let bins = self.config.buffer_bins;
-        let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let to_bin = |buffer: f64| ((buffer / bin_w).round() as usize).min(bins - 1);
+        let grid = BufferGrid::new(self.config.buffer_bins);
+        let bins = grid.bins();
         let mu = self.config.qoe.mu;
         let lambda = self.config.qoe.lambda;
         let stride = n_rungs * N_BINS;
         assert!(scratch.dists.len() >= horizon * stride, "fill dists before planning");
 
-        scratch.ensure_tables(bins, bin_w);
+        scratch.ensure_tables(grid);
 
         if self.config.point_estimate {
             for step in 0..horizon {
@@ -223,16 +251,60 @@ impl StochasticMpc {
             }
         }
 
-        // Backward value iteration over (buffer bin, previous rung).
-        scratch.value.clear();
+        // (Re)shape the tables.  `reach` starts cleared; every other entry
+        // the DP reads is written earlier in the same call.
         scratch.value.resize(bins * n_rungs, 0.0);
         scratch.next_value.resize(bins * n_rungs, 0.0);
         scratch.w.resize(n_rungs * bins, 0.0);
         scratch.m.resize(n_rungs * n_rungs, 0.0);
+        scratch.reach.clear();
+        scratch.reach.resize(horizon * bins, false);
+        scratch.live.clear();
+        scratch.live.reserve(bins);
+        scratch.support.resize(horizon * N_BINS, 0);
+        scratch.n_support.resize(horizon, 0);
+
+        // Forward pass, through each time bin that some rung of a step gives
+        // non-skipped mass — a superset of the `value` entries the backward
+        // pass and step 0 read.  Taking the union across rungs first keeps
+        // the pass at O(reachable bins × supported time bins) per step, and
+        // the landing bins come from the `next_bin` table, whose entries are
+        // `grid.next_bin(grid.level(bin), bin_midpoint(b))`.
+        for step in 0..horizon.saturating_sub(1) {
+            let mut supported = [false; N_BINS];
+            for d in scratch.dists[step * stride..(step + 1) * stride].chunks_exact(N_BINS) {
+                for (s, &p) in supported.iter_mut().zip(d) {
+                    if p < PROB_EPSILON {
+                        continue;
+                    }
+                    *s = true;
+                }
+            }
+            let row = &mut scratch.support[step * N_BINS..(step + 1) * N_BINS];
+            let mut n = 0;
+            for (b, _) in supported.iter().enumerate().filter(|&(_, &s)| s) {
+                row[n] = b;
+                n += 1;
+            }
+            scratch.n_support[step] = n;
+        }
+        let (support, n_support, next_bin) =
+            (&scratch.support, &scratch.n_support, &scratch.next_bin);
+        grid.mark_reach(
+            &mut scratch.reach,
+            |step| &support[step * N_BINS..step * N_BINS + n_support[step]],
+            |&b| grid.next_bin(ctx.buffer, bin_midpoint(b)),
+            |bin, &b| next_bin[b * bins + bin],
+        );
+
+        // Backward value iteration over the marked (buffer bin, previous
+        // rung) states.
         for step in (1..horizon).rev() {
             let menu = &ctx.lookahead[step];
             let prev_menu = &ctx.lookahead[step - 1];
             let dists_step = &scratch.dists[step * stride..(step + 1) * stride];
+            scratch.live.clear();
+            scratch.live.extend((0..bins).filter(|&bin| scratch.reach[step * bins + bin]));
 
             // W[a][bin]: expected (−µ·stall + value-to-go).
             scratch.w.fill(0.0);
@@ -246,13 +318,13 @@ impl StochasticMpc {
                     let stall_row = &scratch.stall[b * bins..(b + 1) * bins];
                     if step + 1 < horizon {
                         let nb_row = &scratch.next_bin[b * bins..(b + 1) * bins];
-                        for (bin, wab) in wa.iter_mut().enumerate() {
+                        for &bin in &scratch.live {
                             let to_go = scratch.value[nb_row[bin] * n_rungs + a];
-                            *wab += p * (to_go - mu * stall_row[bin]);
+                            wa[bin] += p * (to_go - mu * stall_row[bin]);
                         }
                     } else {
-                        for (bin, wab) in wa.iter_mut().enumerate() {
-                            *wab += p * (0.0 - mu * stall_row[bin]);
+                        for &bin in &scratch.live {
+                            wa[bin] += p * (0.0 - mu * stall_row[bin]);
                         }
                     }
                 }
@@ -264,7 +336,7 @@ impl StochasticMpc {
                     ma[prev] = opt.ssim_db - lambda * (opt.ssim_db - popt.ssim_db).abs();
                 }
             }
-            for bin in 0..bins {
+            for &bin in &scratch.live {
                 for prev in 0..n_rungs {
                     let mut best = f64::NEG_INFINITY;
                     for a in 0..n_rungs {
@@ -292,9 +364,11 @@ impl StochasticMpc {
                 }
                 let t = bin_midpoint(b);
                 let stall = (t - ctx.buffer).max(0.0);
-                let next_buf = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                let to_go =
-                    if horizon > 1 { scratch.value[to_bin(next_buf) * n_rungs + a] } else { 0.0 };
+                let to_go = if horizon > 1 {
+                    scratch.value[grid.next_bin(ctx.buffer, t) * n_rungs + a]
+                } else {
+                    0.0
+                };
                 expect += p * (quality - mu * stall + to_go);
             }
             if expect > best_score {
@@ -313,7 +387,7 @@ mod tests {
     use crate::training::{train, TrainConfig};
     use crate::ttp::{Ttp, TtpConfig};
     use puffer_abr::ChunkRecord;
-    use puffer_media::{ChunkMenu, ChunkOption};
+    use puffer_media::{ChunkMenu, ChunkOption, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
     use puffer_net::TcpInfo;
     use rand::SeedableRng;
 
@@ -482,39 +556,39 @@ mod tests {
         );
     }
 
-    /// A deliberately-naive reference implementation of the §4.4 recursion
-    /// (no M/W decomposition, no probability pruning) used to validate the
-    /// optimized planner.
-    fn naive_plan(cfg: &ControllerConfig, ctx: &AbrContext, ttp: &Ttp) -> usize {
-        let horizon = ttp.horizon().min(ctx.lookahead.len());
+    /// A deliberately naive reference implementation of the §4.4 recursion
+    /// over a given distribution table (the [`PlanScratch::dists_for`]
+    /// layout), written straight from the formula to validate the optimized
+    /// planner.  It sweeps every buffer bin at every step, sums every time
+    /// bin's mass (no `PROB_EPSILON` skip), evaluates the full `chunk_qoe`
+    /// with its stall inside the expectation (no M + W split), and computes
+    /// the post-transfer buffer inline.  Only the bin↔level mapping comes
+    /// from [`BufferGrid`].  The probabilistic planner only: no
+    /// point-estimate collapse.
+    fn naive_plan(
+        cfg: &ControllerConfig,
+        ctx: &AbrContext,
+        ttp_horizon: usize,
+        dists: &[f64],
+    ) -> usize {
+        assert!(!cfg.point_estimate, "the naive oracle plans with full distributions");
+        let horizon = ttp_horizon.min(ctx.lookahead.len());
         let n_rungs = ctx.n_rungs();
-        let bins = cfg.buffer_bins;
-        let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let to_bin = |buffer: f64| ((buffer / bin_w).round() as usize).min(bins - 1);
-        let mut dists: Vec<Vec<Vec<f64>>> = Vec::new();
-        for step in 0..horizon {
-            let mut per_rung = Vec::new();
-            for opt in &ctx.lookahead[step].options {
-                per_rung.push(ttp.predict_time_distribution(
-                    step,
-                    ctx.history,
-                    &ctx.tcp_info,
-                    opt.size,
-                ));
-            }
-            dists.push(per_rung);
-        }
-        let mut value = vec![vec![0.0f64; n_rungs]; bins];
+        let grid = BufferGrid::new(cfg.buffer_bins);
+        let dist = |step: usize, a: usize| &dists[(step * n_rungs + a) * N_BINS..][..N_BINS];
+        let after =
+            |buffer: f64, t: f64| ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
+        let mut value = vec![vec![0.0f64; n_rungs]; grid.bins()];
         for step in (1..horizon).rev() {
             let menu = &ctx.lookahead[step];
             let prev_menu = &ctx.lookahead[step - 1];
-            let mut next = vec![vec![f64::NEG_INFINITY; n_rungs]; bins];
+            let mut next = vec![vec![f64::NEG_INFINITY; n_rungs]; grid.bins()];
             for (bin, next_row) in next.iter_mut().enumerate() {
-                let buffer = bin as f64 * bin_w;
+                let buffer = grid.level(bin);
                 for (prev, best) in next_row.iter_mut().enumerate() {
                     for (a, opt) in menu.options.iter().enumerate() {
                         let mut e = 0.0;
-                        for (b, &p) in dists[step][a].iter().enumerate() {
+                        for (b, &p) in dist(step, a).iter().enumerate() {
                             let t = bin_midpoint(b);
                             let stall = (t - buffer).max(0.0);
                             let q = cfg.qoe.chunk_qoe(
@@ -522,9 +596,11 @@ mod tests {
                                 Some(prev_menu.options[prev].ssim_db),
                                 stall,
                             );
-                            let nb =
-                                ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                            let to_go = if step + 1 < horizon { value[to_bin(nb)][a] } else { 0.0 };
+                            let to_go = if step + 1 < horizon {
+                                value[grid.bin_of(after(buffer, t))][a]
+                            } else {
+                                0.0
+                            };
                             e += p * (q + to_go);
                         }
                         if e > *best {
@@ -539,12 +615,12 @@ mod tests {
         let mut best = (0usize, f64::NEG_INFINITY);
         for (a, opt) in menu.options.iter().enumerate() {
             let mut e = 0.0;
-            for (b, &p) in dists[0][a].iter().enumerate() {
+            for (b, &p) in dist(0, a).iter().enumerate() {
                 let t = bin_midpoint(b);
                 let stall = (t - ctx.buffer).max(0.0);
                 let q = cfg.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
-                let nb = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                let to_go = if horizon > 1 { value[to_bin(nb)][a] } else { 0.0 };
+                let to_go =
+                    if horizon > 1 { value[grid.bin_of(after(ctx.buffer, t))][a] } else { 0.0 };
                 e += p * (q + to_go);
             }
             if e > best.1 {
@@ -552,6 +628,105 @@ mod tests {
             }
         }
         best.0
+    }
+
+    /// The planner's arithmetic without its pruning: the §4.4 recursion
+    /// swept densely over every buffer bin at every step, with nested `Vec`
+    /// tables and the stall and post-transfer bin recomputed inline, over a
+    /// given distribution table it never mutates.  It keeps the planner's
+    /// M + W split, `PROB_EPSILON` skip, point-estimate collapse and strict
+    /// `>` argmax, so the two agree bit for bit, on ties and NaN masses too.
+    /// [`naive_plan`] checks that arithmetic against the formula; this one
+    /// checks the forward pass and the pruned backward pass.
+    fn dense_plan(
+        cfg: &ControllerConfig,
+        ctx: &AbrContext,
+        ttp_horizon: usize,
+        dists: &[f64],
+    ) -> usize {
+        let horizon = ttp_horizon.min(ctx.lookahead.len());
+        let n_rungs = ctx.n_rungs();
+        let grid = BufferGrid::new(cfg.buffer_bins);
+        let (mu, lambda) = (cfg.qoe.mu, cfg.qoe.lambda);
+        let dist = |step: usize, a: usize| -> Vec<f64> {
+            let row = &dists[(step * n_rungs + a) * N_BINS..][..N_BINS];
+            if !cfg.point_estimate {
+                return row.to_vec();
+            }
+            let mut one_hot = vec![0.0; N_BINS];
+            one_hot[argmax(row)] = 1.0;
+            one_hot
+        };
+        let mut value = vec![vec![0.0f64; n_rungs]; grid.bins()];
+        for step in (1..horizon).rev() {
+            let menu = &ctx.lookahead[step];
+            let prev_menu = &ctx.lookahead[step - 1];
+            let mut next = vec![vec![f64::NEG_INFINITY; n_rungs]; grid.bins()];
+            for (bin, next_row) in next.iter_mut().enumerate() {
+                let buffer = grid.level(bin);
+                for (prev, best) in next_row.iter_mut().enumerate() {
+                    let prev_ssim = prev_menu.options[prev].ssim_db;
+                    for (a, opt) in menu.options.iter().enumerate() {
+                        let m = opt.ssim_db - lambda * (opt.ssim_db - prev_ssim).abs();
+                        let mut w = 0.0;
+                        for (b, p) in dist(step, a).into_iter().enumerate() {
+                            if p < PROB_EPSILON {
+                                continue;
+                            }
+                            let t = bin_midpoint(b);
+                            let stall = (t - buffer).max(0.0);
+                            let to_go = if step + 1 < horizon {
+                                value[grid.next_bin(buffer, t)][a]
+                            } else {
+                                0.0
+                            };
+                            w += p * (to_go - mu * stall);
+                        }
+                        if m + w > *best {
+                            *best = m + w;
+                        }
+                    }
+                }
+            }
+            value = next;
+        }
+        let menu = &ctx.lookahead[0];
+        let mut best = (0usize, f64::NEG_INFINITY);
+        for (a, opt) in menu.options.iter().enumerate() {
+            let quality = cfg.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, 0.0);
+            let mut e = 0.0;
+            for (b, p) in dist(0, a).into_iter().enumerate() {
+                if p < PROB_EPSILON {
+                    continue;
+                }
+                let t = bin_midpoint(b);
+                let stall = (t - ctx.buffer).max(0.0);
+                let to_go = if horizon > 1 { value[grid.next_bin(ctx.buffer, t)][a] } else { 0.0 };
+                e += p * (quality - mu * stall + to_go);
+            }
+            if e > best.1 {
+                best = (a, e);
+            }
+        }
+        best.0
+    }
+
+    /// The TTP's distributions for `ctx`, one unbatched query per
+    /// (step, rung), in the [`PlanScratch::dists_for`] layout.
+    fn ttp_dists(ctx: &AbrContext, ttp: &Ttp) -> Vec<f64> {
+        let horizon = ttp.horizon().min(ctx.lookahead.len());
+        let mut dists = Vec::new();
+        for step in 0..horizon {
+            for opt in &ctx.lookahead[step].options {
+                dists.extend(ttp.predict_time_distribution(
+                    step,
+                    ctx.history,
+                    &ctx.tcp_info,
+                    opt.size,
+                ));
+            }
+        }
+        dists
     }
 
     #[test]
@@ -578,7 +753,7 @@ mod tests {
                     tcp_info: tcp(rate),
                 };
                 let fast = planner.plan(&ctx, ttp);
-                let slow = naive_plan(&planner.config, &ctx, ttp);
+                let slow = naive_plan(&planner.config, &ctx, ttp.horizon(), &ttp_dists(&ctx, ttp));
                 assert_eq!(fast, slow, "buffer={buffer} rate={rate}");
                 let scratched = planner.plan_with(&ctx, ttp, &mut scratch);
                 assert_eq!(scratched, fast, "scratch reuse, buffer={buffer} rate={rate}");
@@ -635,5 +810,121 @@ mod tests {
         // Must not panic and must return a valid rung.
         let rung = StochasticMpc::default().plan(&ctx, ttp);
         assert!(rung < 4);
+    }
+
+    /// Overwrite `row` with a random time distribution: all zero, dense, or
+    /// 1–5 adjacent bins whose masses sit just below, at or just above
+    /// `PROB_EPSILON` or are ordinary — sometimes with a NaN mass.
+    #[cfg(not(miri))]
+    fn random_row(rng: &mut proptest::TestRng, row: &mut [f64]) {
+        row.fill(0.0);
+        match rng.below(8) {
+            0 => {}
+            1 => row.iter_mut().for_each(|p| *p = rng.unit_f64()),
+            kind => {
+                let width = 1 + rng.below(5) as usize;
+                let first = rng.below((N_BINS - width + 1) as u64) as usize;
+                for p in &mut row[first..first + width] {
+                    *p = match rng.below(5) {
+                        0 => PROB_EPSILON.next_down(),
+                        1 => PROB_EPSILON,
+                        2 => PROB_EPSILON.next_up(),
+                        _ => rng.unit_f64(),
+                    };
+                }
+                if kind == 7 {
+                    row[first] = f64::NAN;
+                }
+            }
+        }
+    }
+
+    #[cfg(not(miri))]
+    thread_local! {
+        /// One scratch for every case of the proptest below, so tables that
+        /// an earlier case shaped and filled stay behind.
+        static SHARED_SCRATCH: std::cell::RefCell<PlanScratch> =
+            std::cell::RefCell::new(PlanScratch::new());
+    }
+
+    // Skipped under Miri: 200 dense reference recursions are minutes-long in
+    // an interpreter, and the planner has no unsafe code for Miri to check.
+    #[cfg(not(miri))]
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 200,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// `plan_from_dists`, filled through `dists_for` as the cross-stream
+        /// wave fills it, chooses the dense reference's rung on arbitrary
+        /// tables: sparse rows with masses around `PROB_EPSILON`, all-zero
+        /// rows, NaN masses, lookaheads shorter than the TTP horizon, buffers
+        /// of exactly 0 and 15 s, three grids, and both point-estimate modes.
+        #[test]
+        fn plan_from_dists_matches_dense_reference(
+            len in 1usize..6,
+            n_rungs in 1usize..11,
+            buffer_kind in 0u64..4,
+            bins_kind in 0usize..3,
+            point_estimate in proptest::any::<bool>(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let buffer = match buffer_kind {
+                0 => 0.0,
+                1 => MAX_BUFFER_SECONDS,
+                _ => MAX_BUFFER_SECONDS * rng.unit_f64(),
+            };
+            let bins = [61, 31, 2][bins_kind];
+            let menus: Vec<ChunkMenu> = (0..len)
+                .map(|i| ChunkMenu {
+                    index: i as u64,
+                    options: (0..n_rungs)
+                        .map(|_| ChunkOption {
+                            size: 1e5 * (1.0 + rng.unit_f64()),
+                            ssim_db: 4.0 + 16.0 * rng.unit_f64(),
+                        })
+                        .collect(),
+                })
+                .collect();
+            let h = history(500_000.0);
+            let ctx = AbrContext {
+                buffer,
+                prev_ssim_db: if rng.below(2) == 0 { None } else { Some(12.0) },
+                prev_rung: None,
+                lookahead: &menus,
+                history: &h,
+                tcp_info: tcp(500_000.0),
+            };
+            let ttp_horizon = TtpConfig::default().horizon;
+            let horizon = ttp_horizon.min(len);
+            let mut table = vec![0.0; horizon * n_rungs * N_BINS];
+            for row in table.chunks_exact_mut(N_BINS) {
+                random_row(&mut rng, row);
+            }
+            let planner = StochasticMpc::new(ControllerConfig {
+                buffer_bins: bins,
+                point_estimate,
+                ..ControllerConfig::default()
+            });
+            let slow = dense_plan(&planner.config, &ctx, ttp_horizon, &table);
+            let fast = SHARED_SCRATCH.with(|shared| {
+                let scratch = &mut *shared.borrow_mut();
+                // Poison the value tables: reading an entry the forward pass
+                // did not mark would swing the decision.
+                for table in [&mut scratch.value, &mut scratch.next_value] {
+                    table.clear();
+                    table.resize(bins * n_rungs, 1e300);
+                }
+                scratch.dists_for(horizon, n_rungs).copy_from_slice(&table);
+                planner.plan_from_dists(&ctx, ttp_horizon, scratch)
+            });
+            proptest::prop_assert_eq!(
+                fast, slow,
+                "len={} rungs={} buffer={} bins={} point_estimate={}",
+                len, n_rungs, buffer, bins, point_estimate
+            );
+        }
     }
 }

@@ -4,6 +4,14 @@
 #
 # Usage:
 #   scripts/bench_hotpath.sh [baseline.json]
+#   scripts/bench_hotpath.sh --check
+#
+# `--check` runs no benches.  It reads BENCH_hotpath.json as the last
+# regeneration wrote it and exits 1, listing the offenders, when an entry
+# not marked `noisy` has a `current_ns` more than 5% above its pinned
+# `baseline_ns`.  Regenerate first, then check:
+#
+#   scripts/bench_hotpath.sh baseline.json && scripts/bench_hotpath.sh --check
 #
 # Runs every Criterion microbench with the BENCH_JSON shim enabled, then
 # merges the fresh medians into BENCH_hotpath.json:
@@ -25,6 +33,32 @@
 #     to 0.90x on an untouched path and nothing caught it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [[ "${1:-}" == "--check" ]]; then
+  exec python3 - <<'EOF'
+import json, sys
+
+TOLERANCE = 1.05  # a current median may be at most 5% above its baseline
+
+with open("BENCH_hotpath.json") as f:
+    benches = json.load(f)["benches"]
+offenders = []
+for name, entry in sorted(benches.items()):
+    baseline = entry.get("baseline_ns")
+    if baseline is None or entry.get("noisy"):
+        continue
+    if entry["current_ns"] > TOLERANCE * baseline:
+        offenders.append((name, entry["current_ns"], baseline))
+for name, current, baseline in offenders:
+    print(f"REGRESSION: {name}: {current:.1f} ns vs baseline {baseline:.1f} ns "
+          f"({current / baseline:.3f}x)")
+if offenders:
+    print(f"{len(offenders)} non-noisy median(s) more than "
+          f"{100 * (TOLERANCE - 1):.0f}% above baseline")
+    sys.exit(1)
+print(f"ok: no non-noisy median is more than {100 * (TOLERANCE - 1):.0f}% above its baseline")
+EOF
+fi
 
 fresh=$(mktemp)
 trap 'rm -f "$fresh"' EXIT

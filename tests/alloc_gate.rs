@@ -122,44 +122,71 @@ fn ctx<'a>(menus: &'a [ChunkMenu], history: &'a [ChunkRecord]) -> AbrContext<'a>
 
 // --- gates -----------------------------------------------------------------
 
+/// Buffers and link rates of the planner gates.  Both planners evaluate only
+/// the buffer bins reachable from the real buffer, so each (buffer, rate)
+/// pair marks a different reachable set.
+const BUFFERS: [f64; 6] = [0.0, 0.7, 3.1, 7.3, 11.9, 15.0];
+const RATES: [f64; 3] = [60_000.0, 400_000.0, 1_400_000.0];
+
 /// The Fugu controller's per-chunk decision: zero heap operations once the
-/// plan scratch has reached steady-state shape.  A randomly initialized TTP
-/// exercises the same code path as a trained one — the planner's work per
-/// decision does not depend on the weights.
+/// plan scratch has reached steady-state shape, over a sequence of decisions
+/// whose reachable sets differ from call to call.  A randomly initialized
+/// TTP exercises the same code path as a trained one — the planner's work
+/// per decision does not depend on the weights.
 #[test]
 fn stochastic_mpc_plan_is_allocation_free() {
     let ttp = Ttp::new(TtpConfig::default(), 11);
     let m = menus(5);
-    let h = history(1_400_000.0);
-    let c = ctx(&m, &h);
+    let histories: Vec<Vec<ChunkRecord>> = RATES.iter().map(|&rate| history(rate)).collect();
+    let mut contexts = Vec::new();
+    for &buffer in &BUFFERS {
+        for (&rate, h) in RATES.iter().zip(&histories) {
+            contexts.push(AbrContext { buffer, tcp_info: tcp(rate), ..ctx(&m, h) });
+        }
+    }
     let smpc = StochasticMpc::default();
     let mut scratch = PlanScratch::new();
 
-    smpc.plan_with(&c, &ttp, &mut scratch); // warm the scratch buffers
-    let warm_rung = smpc.plan_with(&c, &ttp, &mut scratch);
+    smpc.plan_with(&contexts[0], &ttp, &mut scratch); // warm the scratch buffers
+    let warm_rungs: Vec<usize> =
+        contexts.iter().map(|c| StochasticMpc::default().plan(c, &ttp)).collect();
 
-    let mut rung = usize::MAX;
+    let mut rungs = [usize::MAX; BUFFERS.len() * RATES.len()];
     let ops = heap_ops_in(|| {
-        rung = smpc.plan_with(&c, &ttp, &mut scratch);
+        for (rung, c) in rungs.iter_mut().zip(&contexts) {
+            *rung = smpc.plan_with(c, &ttp, &mut scratch);
+        }
     });
     assert_eq!(ops, 0, "StochasticMpc::plan_with allocated on a warm scratch");
-    assert_eq!(rung, warm_rung, "measured call must agree with the warm call");
+    assert_eq!(rungs[..], warm_rungs[..], "measured calls must agree with fresh-scratch plans");
 }
 
 /// The MPC-HM / RobustMPC-HM value iteration: zero heap operations on a
-/// warm scratch, for both the plain and robust discounting variants.
+/// warm scratch, for both the plain and robust discounting variants, over
+/// buffers and throughputs whose reachable sets differ from call to call.
 #[test]
 fn mpc_plan_is_allocation_free() {
     let m = menus(5);
     let h = history(1_400_000.0);
-    let c = ctx(&m, &h);
+    let contexts: Vec<AbrContext> =
+        BUFFERS.iter().map(|&buffer| AbrContext { buffer, ..ctx(&m, &h) }).collect();
     for mpc in [Mpc::mpc_hm(), Mpc::robust_mpc_hm()] {
         let mut scratch = MpcScratch::new();
-        mpc.plan_with(&c, 1_400_000.0, &mut scratch); // warm
+        mpc.plan_with(&contexts[0], RATES[0], &mut scratch); // warm
+        let mut rungs = [[usize::MAX; RATES.len()]; BUFFERS.len()];
         let ops = heap_ops_in(|| {
-            mpc.plan_with(&c, 1_400_000.0, &mut scratch);
+            for (row, c) in rungs.iter_mut().zip(&contexts) {
+                for (rung, &rate) in row.iter_mut().zip(&RATES) {
+                    *rung = mpc.plan_with(c, rate, &mut scratch);
+                }
+            }
         });
         assert_eq!(ops, 0, "Mpc::plan_with allocated on a warm scratch");
+        for (row, c) in rungs.iter().zip(&contexts) {
+            for (&rung, &rate) in row.iter().zip(&RATES) {
+                assert_eq!(rung, mpc.plan_reference(c, rate), "buffer={} rate={rate}", c.buffer);
+            }
+        }
     }
 }
 
