@@ -17,6 +17,11 @@
 //! hits anyway at these sizes, so sparse inputs favor the row kernel's
 //! single data-dependent branch per `(row, k)` over the blocked kernel's
 //! four per `(tile, k)`.
+//!
+//! The `nn_matmul_t` group benches the backprop product `dx = dy·Wᵀ` at the
+//! nightly retrain's shapes: a 64-row minibatch through the TTP's output
+//! layer (`dy` 64×21, `W` 64×21) and second hidden layer (`dy` 64×64, `W`
+//! 64×64).  The vector tiers' time includes transposing `W`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use puffer_nn::{Matrix, Tier};
@@ -24,6 +29,10 @@ use std::hint::black_box;
 
 /// `(streams · rungs)`-row staged batches: hidden layer and output layer.
 const SHAPES: [(usize, usize, usize); 2] = [(160, 64, 64), (160, 64, 21)];
+
+/// `(minibatch rows, layer outputs, layer inputs)` of the retrain's two
+/// `dy·Wᵀ` products.
+const BACKPROP_SHAPES: [(usize, usize, usize); 2] = [(64, 21, 64), (64, 64, 64)];
 
 fn input_matrix(rows: usize, cols: usize, relu_masked: bool) -> Matrix {
     Matrix::from_vec(
@@ -62,6 +71,26 @@ fn bench(c: &mut Criterion) {
                     },
                 );
             }
+        }
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("nn_matmul_t");
+    for (m, k, n) in BACKPROP_SHAPES {
+        let dy = input_matrix(m, k, false);
+        let w = Matrix::from_vec(n, k, (0..n * k).map(|i| ((i as f32) * 0.11).cos()).collect());
+        for tier in Tier::ALL.into_iter().filter(|t| t.supported()) {
+            let (mut wt, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            dy.matmul_t_into_with(tier, &w, &mut wt, &mut out); // warm the buffers
+            group.bench_function(
+                BenchmarkId::from_parameter(format!("{m}x{k}x{n}_{}", tier.name())),
+                |b| {
+                    b.iter(|| {
+                        dy.matmul_t_into_with(tier, black_box(&w), &mut wt, &mut out);
+                        black_box(&mut out);
+                    })
+                },
+            );
         }
     }
     group.finish();

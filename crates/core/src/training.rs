@@ -32,7 +32,7 @@
 
 use crate::dataset::{Dataset, Sample};
 use crate::ttp::Ttp;
-use puffer_nn::{loss, optim::Sgd, BackwardScratch, Matrix, Scaler, TrainCache};
+use puffer_nn::{loss, optim::Sgd, BackwardScratch, Matrix, MlpScratch, Scaler, TrainCache};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -491,15 +491,33 @@ impl GateVerdict {
     }
 }
 
+/// Rows per batched forward pass of the validation gate.
+const GATE_CHUNK_ROWS: usize = 256;
+
 /// Mean step-0 cross-entropy of `ttp` over pre-built samples.  NaN model
 /// outputs map to the 1e-12 probability floor, so a numerically broken model
 /// scores a huge *finite* CE rather than poisoning the comparison.
-fn holdout_ce(ttp: &Ttp, samples: &[crate::dataset::Sample]) -> f32 {
+///
+/// Samples go through the step-0 net in fixed-size row chunks with one
+/// reused scratch.  The forward pass is row-wise independent, so each row's
+/// probabilities are bit-identical to a per-sample [`Ttp::predict_probs`],
+/// and the CE is summed in sample order.
+fn holdout_ce(ttp: &Ttp, samples: &[Sample]) -> f32 {
+    let net = &ttp.nets()[0];
+    let mut x = Matrix::zeros(0, 0);
+    let mut scratch = MlpScratch::new();
     let mut ce = 0.0f64;
-    for s in samples {
-        let probs = ttp.predict_probs(0, &s.features);
-        let p_true = f64::from(probs[s.target]).max(1e-12);
-        ce += -p_true.ln();
+    for chunk in samples.chunks(GATE_CHUNK_ROWS) {
+        x.resize(chunk.len(), net.input_dim());
+        for (r, s) in chunk.iter().enumerate() {
+            ttp.scaler().transform_into(&s.features, x.row_mut(r));
+        }
+        let probs = net.forward_into(&x, &mut scratch);
+        loss::softmax_rows_inplace(probs);
+        for (r, s) in chunk.iter().enumerate() {
+            let p_true = f64::from(probs.get(r, s.target)).max(1e-12);
+            ce += -p_true.ln();
+        }
     }
     (ce / samples.len() as f64) as f32
 }

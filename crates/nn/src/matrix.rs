@@ -2,8 +2,9 @@
 //!
 //! The TTP and Pensieve policy networks are at most a few hundred units wide,
 //! but the batched RCT day loop feeds them `(streams · rungs)`-row batches —
-//! hundreds of rows per forward pass — so the matmul family dispatches over a
-//! small kernel hierarchy at runtime:
+//! hundreds of rows per forward pass — and the nightly retrain runs 64-row
+//! minibatches through the same layers forwards and backwards, so the matmul
+//! family dispatches over a small kernel hierarchy at runtime:
 //!
 //! * [`Tier::Avx2Fma`] — shape-aware: ragged column counts (the TTP's
 //!   21-wide output layer) go to a register-blocked 4×16 microkernel — four
@@ -20,12 +21,23 @@
 //! All tiers are **bit-identical**: every output element sees exactly one
 //! *fused* multiply-add per accumulation step (`f32::mul_add` and the
 //! hardware `vfmadd` are both the correctly-rounded IEEE 754 fusedMultiplyAdd,
-//! so they agree to the last bit), in ascending-`k` order, with the same
-//! per-`(row, k)` zero skip.  Register blocking only changes *which* elements
-//! are in flight together, never any element's own operation sequence.
-//! CPUs with AVX but no FMA fall back to [`Tier::Scalar`] — a non-fused
-//! vector path (separate multiply and add roundings) could not stay
-//! bit-identical to the fused tiers.
+//! so they agree to the last bit), starting from `+0` in ascending-`k` order.
+//! The vector kernels never reduce *across* lanes: each of the 8 lanes of a
+//! register is a different output column carrying its own sequential chain,
+//! so register blocking only changes *which* elements are in flight
+//! together, never any element's own operation sequence.  CPUs with AVX but
+//! no FMA fall back to [`Tier::Scalar`] — a non-fused vector path (separate
+//! multiply and add roundings) could not stay bit-identical to the fused
+//! tiers.
+//!
+//! The forward product `x·W` ([`Matrix::matmul_into`]) skips the `k` steps
+//! whose left operand is zero — common after ReLU — on every tier.  The
+//! backprop product `dy·Wᵀ` ([`Matrix::matmul_t_into`]) has no zero skip:
+//! its scalar tier is a plain dot product per element, and `fma(0, b, acc)`
+//! differs from skipping it when `b` is infinite or NaN, or when `acc` is
+//! `-0`.  Its vector tiers transpose `W` into a caller-owned buffer and run
+//! the same column-lane kernels as the forward product with the skip
+//! compiled out, which reproduces the scalar dot product bit for bit.
 //!
 //! Feature detection runs once per process and is cached in a [`OnceLock`]
 //! ([`cpu_features`]); the per-call cost of [`Tier::detect`] is two relaxed
@@ -214,18 +226,23 @@ fn axpy_fma(a: f32, b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Row-at-a-time FMA kernel for one [`Matrix::matmul_into`] output row:
-/// `out_row[j] = Σ_k fma(a_row[k], w[k*cols + j])`, with the output row held
-/// in registers across the whole `k` loop.  Per element: one fused
-/// multiply-add per nonzero `a_row[k]`, `k` ascending — exactly the scalar
-/// tier's sequence, so results are bit-identical.
+/// Row-at-a-time FMA kernel for one output row: `out_row[j] = Σ_k
+/// fma(a_row[k], w[k*cols + j])`, with the output row held in registers
+/// across the whole `k` loop.  Per element: one fused multiply-add per `k`,
+/// `k` ascending, skipping zero `a_row[k]` when `SKIP_ZEROS` — exactly the
+/// scalar tier's sequence, so results are bit-identical.
 ///
 /// The slice bounds the pointer arithmetic relies on (`out_row.len() ==
 /// cols`, `w.len() >= a_row.len() * cols`) are asserted on entry in debug
 /// builds and guaranteed by `matmul_into`'s shape checks in release builds.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx,fma")]
-fn accum_row_fma(a_row: &[f32], w: &[f32], cols: usize, out_row: &mut [f32]) {
+fn accum_row_fma<const SKIP_ZEROS: bool>(
+    a_row: &[f32],
+    w: &[f32],
+    cols: usize,
+    out_row: &mut [f32],
+) {
     use std::arch::x86_64::*;
     debug_assert!(w.len() >= a_row.len() * cols);
     debug_assert_eq!(out_row.len(), cols);
@@ -249,7 +266,7 @@ fn accum_row_fma(a_row: &[f32], w: &[f32], cols: usize, out_row: &mut [f32]) {
             ]
         };
         for (k, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
+            if SKIP_ZEROS && a == 0.0 {
                 continue; // matches the scalar loop's ReLU skip
             }
             let av = _mm256_set1_ps(a);
@@ -276,7 +293,7 @@ fn accum_row_fma(a_row: &[f32], w: &[f32], cols: usize, out_row: &mut [f32]) {
         // SAFETY: `j0 + 8 <= cols == out_row.len()` bounds the load.
         let mut acc = unsafe { _mm256_loadu_ps(p.add(j0)) };
         for (k, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
+            if SKIP_ZEROS && a == 0.0 {
                 continue;
             }
             debug_assert!(k * cols + j0 + 8 <= w.len());
@@ -292,7 +309,7 @@ fn accum_row_fma(a_row: &[f32], w: &[f32], cols: usize, out_row: &mut [f32]) {
     // Remaining columns, scalar `mul_add` (same fused op as the lanes).
     if j0 < cols {
         for (k, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
+            if SKIP_ZEROS && a == 0.0 {
                 continue;
             }
             for j in j0..cols {
@@ -320,8 +337,9 @@ fn accum_row_fma(a_row: &[f32], w: &[f32], cols: usize, out_row: &mut [f32]) {
 /// `a4` holds four consecutive rows of `A` (`4 * k` values), `out4` the four
 /// matching rows of the output (`4 * cols`, contiguous in the row-major
 /// output).  Per element the operation sequence is identical to the scalar
-/// tier: one fused multiply-add per nonzero `a` in ascending-`k` order with
-/// the per-`(row, k)` zero skip, so blocking is invisible bitwise.
+/// tier: one fused multiply-add per `k` in ascending-`k` order, with the
+/// per-`(row, k)` zero skip when `SKIP_ZEROS`, so blocking is invisible
+/// bitwise.
 ///
 /// The slice geometry the pointer arithmetic relies on (`a4.len() == 4*k`,
 /// `out4.len() == 4*cols`, `w.len() >= k*cols`) is asserted in debug builds
@@ -329,7 +347,13 @@ fn accum_row_fma(a_row: &[f32], w: &[f32], cols: usize, out_row: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 // lint: panic-free — register-block offsets are bounded by the dims the caller asserted; pinned vs the scalar tier by tests
-fn accum_rows4_fma(a4: &[f32], k: usize, w: &[f32], cols: usize, out4: &mut [f32]) {
+fn accum_rows4_fma<const SKIP_ZEROS: bool>(
+    a4: &[f32],
+    k: usize,
+    w: &[f32],
+    cols: usize,
+    out4: &mut [f32],
+) {
     use std::arch::x86_64::*;
     debug_assert_eq!(a4.len(), 4 * k);
     debug_assert_eq!(out4.len(), 4 * cols);
@@ -349,7 +373,7 @@ fn accum_rows4_fma(a4: &[f32], k: usize, w: &[f32], cols: usize, out4: &mut [f32
         }
         for kk in 0..k {
             let a = [a4[kk], a4[k + kk], a4[2 * k + kk], a4[3 * k + kk]];
-            if a == [0.0; 4] {
+            if SKIP_ZEROS && a == [0.0; 4] {
                 continue; // no row wants this B chunk — skip the loads too
             }
             // SAFETY: `kk < k` and `j0 + 16 <= cols`, so both 8-lane loads
@@ -361,7 +385,7 @@ fn accum_rows4_fma(a4: &[f32], k: usize, w: &[f32], cols: usize, out4: &mut [f32
                 )
             };
             for (r, accr) in acc.iter_mut().enumerate() {
-                if a[r] == 0.0 {
+                if SKIP_ZEROS && a[r] == 0.0 {
                     continue; // matches the scalar loop's ReLU skip, per row
                 }
                 let av = _mm256_set1_ps(a[r]);
@@ -387,13 +411,13 @@ fn accum_rows4_fma(a4: &[f32], k: usize, w: &[f32], cols: usize, out4: &mut [f32
         }
         for kk in 0..k {
             let a = [a4[kk], a4[k + kk], a4[2 * k + kk], a4[3 * k + kk]];
-            if a == [0.0; 4] {
+            if SKIP_ZEROS && a == [0.0; 4] {
                 continue;
             }
             // SAFETY: `kk < k` and `j0 + 8 <= cols` bound the load inside `w`.
             let bv = unsafe { _mm256_loadu_ps(wp.add(kk * cols + j0)) };
             for (r, accv) in acc.iter_mut().enumerate() {
-                if a[r] == 0.0 {
+                if SKIP_ZEROS && a[r] == 0.0 {
                     continue;
                 }
                 *accv = _mm256_fmadd_ps(_mm256_set1_ps(a[r]), bv, *accv);
@@ -420,14 +444,14 @@ fn accum_rows4_fma(a4: &[f32], k: usize, w: &[f32], cols: usize, out4: &mut [f32
         }
         for kk in 0..k {
             let a = [a4[kk], a4[k + kk], a4[2 * k + kk], a4[3 * k + kk]];
-            if a == [0.0; 4] {
+            if SKIP_ZEROS && a == [0.0; 4] {
                 continue;
             }
             // SAFETY: enabled lanes end at `kk*cols + cols <= k*cols <=
             // w.len()`; masked lanes perform no memory access.
             let bv = unsafe { _mm256_maskload_ps(wp.add(kk * cols + j0), mask) };
             for (r, accv) in acc.iter_mut().enumerate() {
-                if a[r] == 0.0 {
+                if SKIP_ZEROS && a[r] == 0.0 {
                     continue;
                 }
                 *accv = _mm256_fmadd_ps(_mm256_set1_ps(a[r]), bv, *accv);
@@ -440,14 +464,72 @@ fn accum_rows4_fma(a4: &[f32], k: usize, w: &[f32], cols: usize, out4: &mut [f32
     }
 }
 
-/// Scalar (`mul_add`) body of [`Matrix::matmul_t_into`]: `out = a · bᵀ` with
-/// each output element a sequential fused dot product.  `#[inline(always)]`
-/// so [`matmul_t_rows_fma`] can compile the *same* loop with the FMA feature
-/// enabled (one `vfmadd` instruction per step instead of a libm `fmaf`
-/// call) — the arithmetic, and therefore every bit of the result, is
-/// identical either way.
-#[inline(always)]
-// lint: panic-free — row/col offsets are bounded by the dims the caller asserted; pinned vs the scalar tier by tests
+/// The vector tiers' body of both matmuls: `out += a · w` for `a` (`m × k`),
+/// `w` (`k × n`) and `out` (`m × n`, zeroed by the caller), with the zero
+/// skip of [`Matrix::matmul_into`] when `SKIP_ZEROS`.
+///
+/// The Avx2Fma tier is shape-aware (bit-identity makes the kernel choice
+/// free): when the columns split into whole 8-lane tiles, the row-at-a-time
+/// kernel's 64-wide tile already runs near FMA peak — `w` loads are L1 hits
+/// at these sizes, so the 4-row block's load amortization can't pay for its
+/// strided `a` gather and its 4× re-branching of the per-row zero skips.
+/// The block earns its keep on ragged column counts (the TTP's 21-wide
+/// output layer), where the row kernel would fall into a scalar tail but the
+/// masked-lane tail stays vectorized — measured 2–3× there (`nn_kernels`
+/// bench, dense and ReLU-sparse).
+///
+/// # Safety
+/// `tier` must be [`Tier::Avx`] or [`Tier::Avx2Fma`] and supported by this
+/// CPU ([`Tier::supported`]).  `a.len() == m * k`, `w.len() >= k * n` and
+/// `out.len() == m * n`, which the callers' shape asserts guarantee.
+#[cfg(target_arch = "x86_64")]
+// lint: panic-free — row offsets are bounded by the m*k / m*n geometry the caller asserted
+unsafe fn accum_rows_vector<const SKIP_ZEROS: bool>(
+    tier: Tier,
+    a: &[f32],
+    k: usize,
+    w: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    debug_assert!(tier != Tier::Scalar && tier.supported());
+    debug_assert!(w.len() >= k * n);
+    let m = out.len().checked_div(n).unwrap_or(0); // n == 0: `out` is empty
+    let mut i = 0;
+    if tier == Tier::Avx2Fma && !n.is_multiple_of(8) {
+        // 4-row register blocks...
+        while i + 4 <= m {
+            // SAFETY: the caller guarantees `Avx2Fma` is supported, i.e.
+            // AVX2 and FMA are present.
+            unsafe {
+                accum_rows4_fma::<SKIP_ZEROS>(
+                    &a[i * k..(i + 4) * k],
+                    k,
+                    w,
+                    n,
+                    &mut out[i * n..(i + 4) * n],
+                )
+            };
+            i += 4;
+        }
+        // ... and the row-at-a-time kernel for the 1–3 row tail
+        // (bit-identical: same per-element op sequence).
+    }
+    while i < m {
+        // SAFETY: both vector tiers imply the AVX and FMA this kernel
+        // requires (the caller guarantees the tier is supported).
+        unsafe {
+            accum_row_fma::<SKIP_ZEROS>(&a[i * k..(i + 1) * k], w, n, &mut out[i * n..(i + 1) * n])
+        };
+        i += 1;
+    }
+}
+
+/// Scalar body of [`Matrix::matmul_t_into`], and the oracle the vector tiers
+/// are pinned against: `out = a · bᵀ` with each output element one
+/// sequential dot product — `acc = +0`, then `acc = a[i][k].mul_add(b[j][k],
+/// acc)` for every `k` ascending, zeros included.
+// lint: panic-free — row/col offsets are bounded by the dims the caller asserted
 fn matmul_t_rows(a: &[f32], cols: usize, b: &[f32], b_rows: usize, out: &mut [f32]) {
     if b_rows == 0 {
         return; // `out` is m×0 (empty); chunks_exact_mut(0) would panic
@@ -463,16 +545,6 @@ fn matmul_t_rows(a: &[f32], cols: usize, b: &[f32], b_rows: usize, out: &mut [f3
             *o = acc;
         }
     }
-}
-
-/// [`matmul_t_rows`] compiled with FMA enabled, for CPUs that have it.  The
-/// dot products stay sequential scalar chains — vectorizing a reduction
-/// would reorder the accumulation and break cross-tier bit-identity — but
-/// `mul_add` lowers to a single `vfmadd` here instead of a libm call.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-fn matmul_t_rows_fma(a: &[f32], cols: usize, b: &[f32], b_rows: usize, out: &mut [f32]) {
-    matmul_t_rows(a, cols, b, b_rows, out)
 }
 
 /// A dense row-major matrix of `f32`.
@@ -607,67 +679,13 @@ impl Matrix {
         let k = self.cols;
         let n = other.cols;
         #[cfg(target_arch = "x86_64")]
-        {
-            // The Avx2Fma tier is shape-aware (bit-identity makes the kernel
-            // choice free): when the columns split into whole 8-lane tiles,
-            // the row-at-a-time kernel's 64-wide tile already runs near FMA
-            // peak — `B` loads are L1 hits at these sizes, so the 4-row
-            // block's load amortization can't pay for its strided `A` gather
-            // and its 4× re-branching of the per-row zero skips.  The block
-            // earns its keep on ragged column counts (the TTP's 21-wide
-            // output layer), where the row kernel would fall into a scalar
-            // tail but the masked-lane tail stays vectorized — measured
-            // 2–3× there (`nn_kernels` bench, dense and ReLU-sparse).
-            if tier == Tier::Avx2Fma && !n.is_multiple_of(8) {
-                let mut i = 0;
-                // 4-row register blocks...
-                while i + 4 <= self.rows {
-                    // SAFETY: `Avx2Fma` only passes the `supported` assert
-                    // above when runtime detection found AVX2 and FMA.
-                    unsafe {
-                        accum_rows4_fma(
-                            &self.data[i * k..(i + 4) * k],
-                            k,
-                            &other.data,
-                            n,
-                            &mut out.data[i * n..(i + 4) * n],
-                        )
-                    };
-                    i += 4;
-                }
-                // ... and the row-at-a-time kernel for the 1–3 row tail
-                // (bit-identical: same per-element op sequence).
-                while i < self.rows {
-                    // SAFETY: AVX2+FMA support implies the AVX+FMA this
-                    // kernel requires.
-                    unsafe {
-                        accum_row_fma(
-                            &self.data[i * k..(i + 1) * k],
-                            &other.data,
-                            n,
-                            &mut out.data[i * n..(i + 1) * n],
-                        )
-                    };
-                    i += 1;
-                }
-                return;
-            }
-            if tier == Tier::Avx || tier == Tier::Avx2Fma {
-                for i in 0..self.rows {
-                    // SAFETY: both tiers only pass the `supported` assert
-                    // above when runtime detection found the AVX and FMA
-                    // this kernel requires.
-                    unsafe {
-                        accum_row_fma(
-                            &self.data[i * k..(i + 1) * k],
-                            &other.data,
-                            n,
-                            &mut out.data[i * n..(i + 1) * n],
-                        )
-                    };
-                }
-                return;
-            }
+        if tier != Tier::Scalar {
+            // SAFETY: a non-scalar tier passed the `supported` assert above,
+            // and the shape asserts and resize fix `m*k`, `k*n` and `m*n`.
+            unsafe {
+                accum_rows_vector::<true>(tier, &self.data, k, &other.data, n, &mut out.data)
+            };
+            return;
         }
         for i in 0..self.rows {
             let a_row = &self.data[i * k..(i + 1) * k];
@@ -719,55 +737,85 @@ impl Matrix {
         }
     }
 
-    /// `self * otherᵀ` without materializing the transpose.
+    /// `self * otherᵀ`.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into(other, &mut out);
+        self.matmul_t_into(other, &mut Matrix::zeros(0, 0), &mut out);
         out
     }
 
     /// [`Matrix::matmul_t`] writing into a caller-owned matrix (resized to
     /// fit) — the backpropagated-gradient kernel (`dx = dy·Wᵀ`) of the
-    /// allocation-free training backward pass.
-    pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
-        self.matmul_t_into_with(Tier::detect(), other, out)
+    /// allocation-free training backward pass.  `other_t` is a reusable
+    /// buffer for the vector tiers' transposed copy of `other`; its contents
+    /// on return are unspecified.
+    pub fn matmul_t_into(&self, other: &Matrix, other_t: &mut Matrix, out: &mut Matrix) {
+        self.matmul_t_into_with(Tier::detect(), other, other_t, out)
     }
 
-    /// [`Matrix::matmul_t_into`] on an explicit kernel tier.  Every tier
-    /// runs the same sequential fused dot products (a vector reduction
-    /// would reorder the accumulation); non-scalar tiers merely compile the
-    /// loop with the FMA instruction available.
+    /// [`Matrix::matmul_t_into`] on an explicit kernel tier.
+    ///
+    /// The scalar tier computes each output element as one sequential fused
+    /// dot product.  Vectorizing that reduction would reorder it, so the
+    /// vector tiers vectorize across output *columns* instead: they
+    /// transpose `other` into `other_t` and run the column-lane kernels of
+    /// [`Matrix::matmul_into_with`] with the zero skip compiled out.  Each
+    /// lane then carries one element's own chain — start at `+0`, one fused
+    /// multiply-add per `k`, `k` ascending — so every tier is bit-identical.
     ///
     /// # Panics
     /// Panics if the CPU does not support `tier` (see [`Tier::supported`]).
     // lint: panic-free — entry asserts pin the (m,k)x(n,k)^T shape; tier kernels index inside it
-    // lint: alloc-free — `out` resizes once to m*n; warm calls reuse the buffer (tests/alloc_gate.rs)
-    pub fn matmul_t_into_with(&self, tier: Tier, other: &Matrix, out: &mut Matrix) {
+    // lint: alloc-free — `out` and `other_t` resize once; warm calls reuse the buffers (tests/alloc_gate.rs)
+    pub fn matmul_t_into_with(
+        &self,
+        tier: Tier,
+        other: &Matrix,
+        other_t: &mut Matrix,
+        out: &mut Matrix,
+    ) {
         assert_eq!(self.cols, other.cols, "column counts must agree");
         assert!(tier.supported(), "kernel tier {tier:?} not supported by this CPU");
         out.resize(self.rows, other.rows);
         #[cfg(target_arch = "x86_64")]
         if tier != Tier::Scalar {
-            // SAFETY: non-scalar tiers only pass the `supported` assert
-            // above when runtime detection found FMA.
+            other.transpose_into(other_t);
+            out.data.fill(0.0);
+            // SAFETY: a non-scalar tier passed the `supported` assert above;
+            // `other_t` is `k × n` and `out` is `m × n` after the resizes.
             unsafe {
-                matmul_t_rows_fma(&self.data, self.cols, &other.data, other.rows, &mut out.data)
+                accum_rows_vector::<false>(
+                    tier,
+                    &self.data,
+                    self.cols,
+                    &other_t.data,
+                    other.rows,
+                    &mut out.data,
+                )
             };
             return;
         }
-        let _ = tier;
+        let _ = other_t; // the scalar tier reads `other` in place
         matmul_t_rows(&self.data, self.cols, &other.data, other.rows, &mut out.data);
     }
 
-    /// Explicit transpose (used rarely; prefer the fused variants above).
+    /// Explicit transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::transpose`] into a caller-owned matrix (resized to fit).
+    // lint: panic-free — `out` is resized to cols x rows before the in-range row/col loops index it
+    // lint: alloc-free — `out` resizes once to the transposed shape; warm calls reuse it (tests/alloc_gate.rs)
+    fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
             }
         }
-        out
     }
 
     /// Add `v` to every row of `self` in place (broadcast bias add).
@@ -972,14 +1020,44 @@ mod tests {
         let b = Matrix::from_rows(&[vec![2.0, 1.0, -0.5], vec![1.5, 0.0, 3.0]]);
         let reference = a.matmul_t(&b);
         for tier in supported_tiers() {
-            let mut out = Matrix::zeros(0, 0);
-            a.matmul_t_into_with(tier, &b, &mut out);
+            let (mut bt, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            a.matmul_t_into_with(tier, &b, &mut bt, &mut out);
             assert_eq!(out, reference, "tier {tier:?}");
             // Reuse with a different shape: stale contents must not leak.
             let c = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]);
-            c.matmul_t_into_with(tier, &b, &mut out);
+            c.matmul_t_into_with(tier, &b, &mut bt, &mut out);
             assert_eq!(out, c.matmul_t(&b), "tier {tier:?}");
             assert_eq!((out.rows(), out.cols()), (1, 2));
+        }
+    }
+
+    #[test]
+    fn matmul_t_tiers_match_scalar_on_edge_values() {
+        // Small enough for Miri, which runs the vector kernels when CI
+        // compiles with AVX2+FMA: n = 19 takes the 4-row block's 16-wide
+        // tile and masked tail plus the row kernel's 1-row tail, n = 8 the
+        // 8-wide tile, n = 3 the scalar tail; k = 1 is a one-step chain.
+        // The values make skipping a zero `a` visible: `0 · inf` is NaN,
+        // and `+0 + (-1e-30 · 1e-30)` rounds to -0, which a later `0 · 2`
+        // step turns back into +0.
+        let a_vals = [-1e-30, 0.0, 1.5, -0.0, 0.25];
+        let w_vals = [1e-30, 2.0, f32::INFINITY, -0.5, 1e-40, 3.0];
+        for (m, k, n) in [(5usize, 3usize, 19usize), (2, 4, 8), (3, 1, 3), (0, 2, 5)] {
+            let a = Matrix::from_vec(m, k, (0..m * k).map(|i| a_vals[i % 5]).collect());
+            let w = Matrix::from_vec(n, k, (0..n * k).map(|i| w_vals[i % 6]).collect());
+            let mut reference = Matrix::zeros(0, 0);
+            a.matmul_t_into_with(Tier::Scalar, &w, &mut Matrix::zeros(0, 0), &mut reference);
+            for tier in supported_tiers() {
+                let (mut wt, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+                a.matmul_t_into_with(tier, &w, &mut wt, &mut out);
+                assert_eq!((out.rows(), out.cols()), (m, n));
+                for (x, r) in out.data().iter().zip(reference.data()) {
+                    assert!(
+                        x.to_bits() == r.to_bits() || (x.is_nan() && r.is_nan()),
+                        "shape {m}x{k}x{n}, tier {tier:?}: {x} vs {r}"
+                    );
+                }
+            }
         }
     }
 

@@ -213,6 +213,9 @@ pub struct BackwardScratch {
     grad: Matrix,
     /// Scratch for the gradient w.r.t. the layer below's output.
     tmp: Matrix,
+    /// The current layer's transposed weights, for the vector tiers of
+    /// [`Matrix::matmul_t_into`].
+    wt: Matrix,
 }
 
 impl BackwardScratch {
@@ -524,7 +527,7 @@ impl Mlp {
             let layer = &mut self.layers[i];
             layer.accumulate_grads(&cache.acts[i], &scratch.grad);
             if i > 0 {
-                scratch.grad.matmul_t_into(&layer.w, &mut scratch.tmp);
+                scratch.grad.matmul_t_into(&layer.w, &mut scratch.wt, &mut scratch.tmp);
                 std::mem::swap(&mut scratch.grad, &mut scratch.tmp);
             }
         }

@@ -49,6 +49,61 @@ fn arb_matmul_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
         })
 }
 
+/// Values that pin `dy·Wᵀ`'s no-zero-skip op sequence: signed zeros,
+/// infinities and NaN (where `fma(0, b, acc)` and skipping it differ),
+/// products that underflow to `-0` against a `+0` accumulator, subnormals,
+/// and products that overflow.
+const EDGE_VALUES: [f32; 12] = [
+    0.0,
+    -0.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+    1e-30,
+    -1e-30,
+    1e-25,
+    1e-40,
+    -f32::MIN_POSITIVE,
+    3e38,
+    -3e38,
+];
+
+/// Arbitrary `(A: m×k, W: n×k)` pair for `A·Wᵀ`, over shapes that sweep every
+/// kernel path — zero rows, rows off the 4-row block, `k` of 0 and 1, `n`
+/// below 8, off the 8-lane tiles, and across the 64/16/8-wide tiles — with a
+/// per-case density (0 to about 23%) of [`EDGE_VALUES`] among finite values.
+fn arb_matmul_t_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
+    const MAX_M: usize = 13;
+    const MAX_K: usize = 18;
+    const MAX_N: usize = 72;
+    let elems =
+        |len| prop::collection::vec((0usize..64, 0usize..EDGE_VALUES.len(), -10.0f32..10.0), len);
+    (
+        0usize..MAX_M,
+        0usize..MAX_K,
+        0usize..MAX_N,
+        0usize..16,
+        elems(MAX_M * MAX_K),
+        elems(MAX_N * MAX_K),
+    )
+        .prop_map(|(m, k, n, density, a, w)| {
+            let pick =
+                |&(u, e, v): &(usize, usize, f32)| if u < density { EDGE_VALUES[e] } else { v };
+            (
+                Matrix::from_vec(m, k, a.iter().take(m * k).map(pick).collect()),
+                Matrix::from_vec(n, k, w.iter().take(n * k).map(pick).collect()),
+            )
+        })
+}
+
+/// Bitwise equality, except that any NaN equals any NaN: IEEE 754 leaves the
+/// payload of a NaN result open, and the payload is not part of the
+/// cross-tier contract.
+fn same_bits(x: &[f32], y: &[f32]) -> bool {
+    x.len() == y.len()
+        && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 120, ..ProptestConfig::default() })]
 
@@ -162,17 +217,30 @@ proptest! {
     }
 
     #[test]
-    fn matmul_t_tiers_bit_identical_over_odd_shapes(ab in arb_matmul_operands()) {
-        let (a, b) = ab;
-        // dy·Wᵀ (the backprop kernel): reuse the operand generator with `b`
-        // transposed so the column counts agree.
-        let bt = b.transpose();
+    fn matmul_t_tiers_match_scalar_on_edge_values(aw in arb_matmul_t_operands()) {
+        let (a, w) = aw;
+        // dy·Wᵀ (the backprop kernel).  The scalar tier is one sequential
+        // fused dot product per element — start at +0, one `mul_add` per
+        // `k`, `k` ascending, zeros included — and every vector tier must
+        // reproduce it bit for bit.
+        let naive: Vec<f32> = (0..a.rows())
+            .flat_map(|i| {
+                (0..w.rows()).map({
+                    let (a, w) = (&a, &w);
+                    move |j| {
+                        a.row(i).iter().zip(w.row(j)).fold(0.0f32, |acc, (&x, &y)| x.mul_add(y, acc))
+                    }
+                })
+            })
+            .collect();
         let mut reference = Matrix::zeros(0, 0);
-        a.matmul_t_into_with(Tier::Scalar, &bt, &mut reference);
+        a.matmul_t_into_with(Tier::Scalar, &w, &mut Matrix::zeros(0, 0), &mut reference);
+        prop_assert!(same_bits(reference.data(), &naive), "scalar tier vs dot products");
         for tier in supported_tiers() {
             let mut out = Matrix::zeros(0, 0);
-            a.matmul_t_into_with(tier, &bt, &mut out);
-            prop_assert_eq!(out.data(), reference.data(), "tier {:?}", tier);
+            a.matmul_t_into_with(tier, &w, &mut Matrix::zeros(0, 0), &mut out);
+            prop_assert_eq!((out.rows(), out.cols()), (a.rows(), w.rows()));
+            prop_assert!(same_bits(out.data(), reference.data()), "tier {:?}", tier);
         }
     }
 

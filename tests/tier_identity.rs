@@ -6,18 +6,31 @@
 //! a whole RCT — including two ablation arms sharing one TTP snapshot, the
 //! cross-arm batching case — must produce identical arm summaries on every
 //! supported tier, at threads 1/2/8, with cross-arm batching on and off, and
-//! with the batched scheduler disabled entirely.
+//! with the batched scheduler disabled entirely.  A second case runs the
+//! nightly retrain, so the training kernels (forward, `xᵀ·dy`, `dy·Wᵀ`) are
+//! pinned across tiers through a whole RCT too, down to the retrained
+//! model's checkpoint text.
 //!
 //! This lives in its own integration-test binary on purpose: `force_tier` is
 //! a process-global override, and a separate binary means no other test can
 //! observe it (forcing a supported tier is bitwise unobservable anyway, but
-//! the isolation keeps the reasoning trivial).
+//! the isolation keeps the reasoning trivial).  The tests in this binary
+//! take [`TIER_LOCK`] so that neither observes the other's override.
 
-use puffer_repro::fugu::TtpVariant;
+use puffer_repro::fugu::{checkpoint, TrainConfig, TtpVariant};
 use puffer_repro::nn::matrix::{force_tier, Tier};
 use puffer_repro::platform::experiment::run_rct;
-use puffer_repro::platform::{ExperimentConfig, SchemeSpec};
-use std::sync::Arc;
+use puffer_repro::platform::{ExperimentConfig, RctResult, SchemeSpec};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests that force a kernel tier.
+static TIER_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock_tier() -> MutexGuard<'static, ()> {
+    // The guarded value is `()`, so a test that panicked while holding the
+    // lock left nothing inconsistent behind.
+    TIER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn schemes() -> Vec<SchemeSpec> {
     // Full and PointEstimate around ONE trained network (`Arc` shared — the
@@ -32,11 +45,7 @@ fn schemes() -> Vec<SchemeSpec> {
     ]
 }
 
-fn assert_same(
-    baseline: &puffer_repro::platform::RctResult,
-    other: &puffer_repro::platform::RctResult,
-    what: &str,
-) {
+fn assert_same(baseline: &RctResult, other: &RctResult, what: &str) {
     assert_eq!(baseline.total_sessions, other.total_sessions, "sessions, {what}");
     assert_eq!(
         baseline.dataset.n_observations(),
@@ -63,6 +72,7 @@ fn tiers_and_cross_arm_batching_are_bit_identical() {
         ..ExperimentConfig::default()
     };
 
+    let _lock = lock_tier();
     // Ground truth: scalar kernels, sequential, per-stream (no batching).
     force_tier(Some(Tier::Scalar));
     let baseline = run_rct(schemes(), &mk(1, false, false));
@@ -80,6 +90,52 @@ fn tiers_and_cross_arm_batching_are_bit_identical() {
                     "tier {tier:?}, threads {threads}, batch_streams {batch_streams}, \
                      across-arms {across}"
                 ),
+            );
+        }
+    }
+    force_tier(None);
+}
+
+#[test]
+fn nightly_retraining_is_bit_identical_across_tiers() {
+    let schemes = || vec![SchemeSpec::fugu(TtpVariant::Full.build_ttp(31)), SchemeSpec::Bba];
+    // Session threads and training threads move together.
+    let mk = |threads| ExperimentConfig {
+        seed: 29,
+        sessions_per_day: 4,
+        days: 2,
+        threads,
+        retrain: Some(TrainConfig {
+            epochs: 1,
+            max_samples_per_step: 200,
+            threads,
+            ..TrainConfig::default()
+        }),
+        ..ExperimentConfig::default()
+    };
+    let checkpoint_of = |spec: &SchemeSpec| match spec {
+        SchemeSpec::Fugu { ttp, .. } => checkpoint::save_to_string(ttp),
+        other => panic!("arm 0 is not Fugu: {other:?}"),
+    };
+
+    let _lock = lock_tier();
+    force_tier(Some(Tier::Scalar));
+    let baseline = run_rct(schemes(), &mk(1));
+    let baseline_model = checkpoint_of(&baseline.schemes[0]);
+    assert!(
+        baseline_model != checkpoint_of(&schemes()[0]),
+        "the nightly retrain must have changed the model"
+    );
+
+    for tier in Tier::ALL.into_iter().filter(|t| t.supported()) {
+        force_tier(Some(tier));
+        for threads in [1, 2] {
+            let r = run_rct(schemes(), &mk(threads));
+            let what = format!("tier {tier:?}, threads {threads}");
+            assert_same(&baseline, &r, &what);
+            assert!(
+                checkpoint_of(&r.schemes[0]) == baseline_model,
+                "retrained model differs, {what}"
             );
         }
     }
