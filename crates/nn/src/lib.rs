@@ -18,9 +18,9 @@
 //!
 //! The networks involved are tiny (the TTP is 2 hidden layers of 64 units,
 //! §4.5), but the batched RCT day loop feeds them `(streams · rungs)`-row
-//! batches, so the matmul family dispatches at runtime over a small fused
-//! kernel hierarchy — a 4×16 register-blocked AVX2+FMA microkernel, a
-//! row-at-a-time AVX+FMA kernel, and portable `f32::mul_add` loops — that is
+//! batches, so the matmul family dispatches at runtime between an 8-lane
+//! AVX+FMA row kernel (its ReLU zero skip walks a nonzero bitmask instead of
+//! branching per activation) and portable `f32::mul_add` loops, which are
 //! **bit-identical across tiers** (see [`matrix::Tier`] and the module docs
 //! of [`matrix`]): every element sees the same sequence of correctly-rounded
 //! fused multiply-adds no matter which kernel ran.  Matrices are row-major

@@ -6,17 +6,15 @@
 //! minibatches through the same layers forwards and backwards, so the matmul
 //! family dispatches over a small kernel hierarchy at runtime:
 //!
-//! * [`Tier::Avx2Fma`] — shape-aware: ragged column counts (the TTP's
-//!   21-wide output layer) go to a register-blocked 4×16 microkernel — four
-//!   output rows × two YMM accumulators each (8 live accumulators), every
-//!   `B` row chunk loaded once and fused-multiply-added into all four rows,
-//!   with an AVX2 *masked* column tail instead of the row kernel's scalar
-//!   one; whole-8-lane column counts stay on the row-at-a-time kernel,
-//!   whose 64-wide tile already runs near FMA peak when `B` is L1-resident.
-//! * [`Tier::Avx`] — the row-at-a-time 8-lane FMA kernel (AVX + FMA without
-//!   AVX2: the Piledriver/Ivy-Bridge-era hardware class).
-//! * [`Tier::Scalar`] — portable `f32::mul_add` loops; also what Miri
-//!   interprets unless CI enables the vector features at compile time.
+//! * [`Tier::Avx2Fma`] and [`Tier::Avx`] — one 8-lane AVX+FMA row kernel:
+//!   each output row runs in 64-column register tiles plus one tile of the
+//!   remaining columns whose last vector is masked (the TTP's 21-wide output
+//!   layer is two full vectors and 5 masked lanes), the tile's accumulators
+//!   held in registers across the whole `k` loop.  The kernel needs only AVX
+//!   and FMA, so both tiers run it.
+//! * [`Tier::Scalar`] — portable `f32::mul_add` loops; the oracle the vector
+//!   tiers are pinned against, and what Miri interprets unless CI enables
+//!   the vector features at compile time.
 //!
 //! All tiers are **bit-identical**: every output element sees exactly one
 //! *fused* multiply-add per accumulation step (`f32::mul_add` and the
@@ -24,20 +22,25 @@
 //! so they agree to the last bit), starting from `+0` in ascending-`k` order.
 //! The vector kernels never reduce *across* lanes: each of the 8 lanes of a
 //! register is a different output column carrying its own sequential chain,
-//! so register blocking only changes *which* elements are in flight
-//! together, never any element's own operation sequence.  CPUs with AVX but
-//! no FMA fall back to [`Tier::Scalar`] — a non-fused vector path (separate
-//! multiply and add roundings) could not stay bit-identical to the fused
-//! tiers.
+//! so tiling only changes *which* elements are in flight together, never
+//! any element's own operation sequence.  CPUs with AVX but no FMA fall back
+//! to [`Tier::Scalar`] — a non-fused vector path (separate multiply and add
+//! roundings) could not stay bit-identical to the fused tiers.
 //!
-//! The forward product `x·W` ([`Matrix::matmul_into`]) skips the `k` steps
-//! whose left operand is zero — common after ReLU — on every tier.  The
-//! backprop product `dy·Wᵀ` ([`Matrix::matmul_t_into`]) has no zero skip:
-//! its scalar tier is a plain dot product per element, and `fma(0, b, acc)`
-//! differs from skipping it when `b` is infinite or NaN, or when `acc` is
-//! `-0`.  Its vector tiers transpose `W` into a caller-owned buffer and run
-//! the same column-lane kernels as the forward product with the skip
-//! compiled out, which reproduces the scalar dot product bit for bit.
+//! The forward product `x·W` ([`Matrix::matmul_into`]) and the weight
+//! gradient `xᵀ·dy` ([`Matrix::t_matmul_acc`]) skip the `k` steps whose
+//! left operand is ±0 — about half of a trained TTP's hidden activations
+//! after ReLU — on every tier; NaN and ±inf are kept.  The scalar tier
+//! branches on `a == 0.0`.  That branch follows the activations' pattern,
+//! which no predictor learns, so the vector tiers instead build a bitmask of
+//! the nonzero entries per chunk of up to 64 `k` (`vcmpps` + `vmovmskps`)
+//! and walk its set bits in ascending order, or every `k` when the chunk
+//! has no zero.  The backprop product `dy·Wᵀ` ([`Matrix::matmul_t_into`])
+//! has no zero skip: its scalar tier is a plain dot product per element, and
+//! `fma(0, b, acc)` differs from skipping it when `b` is infinite or NaN, or
+//! when `acc` is `-0`.  Its vector tiers transpose `W` into a caller-owned
+//! buffer and run the same row kernel with the zero skip off, which
+//! reproduces the scalar dot product bit for bit.
 //!
 //! Feature detection runs once per process and is cached in a [`OnceLock`]
 //! ([`cpu_features`]); the per-call cost of [`Tier::detect`] is two relaxed
@@ -97,11 +100,10 @@ pub enum Tier {
     /// tier on x86-64 without FMA (a fused scalar op is required to match
     /// the vector tiers bitwise).
     Scalar = 0,
-    /// Row-at-a-time 8-lane AVX kernels using FMA (requires AVX *and* FMA).
+    /// The 8-lane AVX row kernels using FMA (requires AVX *and* FMA).
     Avx = 1,
-    /// The 4×16 register-blocked microkernel with masked column tails for
-    /// ragged column counts; whole-8-lane shapes use the row kernel, which
-    /// is already load-bound-free there (requires AVX2 and FMA).
+    /// What detection reports on AVX2+FMA hardware; runs the same kernels
+    /// as [`Tier::Avx`], which use no AVX2 instruction.
     Avx2Fma = 2,
 }
 
@@ -194,9 +196,20 @@ pub(crate) fn axpy_with(tier: Tier, a: f32, b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// AVX body of [`axpy_with`]: 8-lane `vfmadd`.  Per element this is the same
-/// single correctly-rounded fused multiply-add as the scalar `mul_add`
-/// loop, so results are bit-identical.
+/// The `vmaskmovps` mask enabling the first `lanes` (1..=8) lanes: lane `i`
+/// is enabled iff `lanes > i`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn lane_mask(lanes: usize) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let index = _mm256_setr_ps(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0);
+    _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_set1_ps(lanes as f32), index))
+}
+
+/// AVX body of [`axpy_with`]: 8-lane `vfmadd`, with a masked last vector for
+/// a ragged length.  Per element this is the same single correctly-rounded
+/// fused multiply-add as the scalar `mul_add` loop, so results are
+/// bit-identical.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx,fma")]
 fn axpy_fma(a: f32, b: &[f32], out: &mut [f32]) {
@@ -215,313 +228,218 @@ fn axpy_fma(a: f32, b: &[f32], out: &mut [f32]) {
         }
         j += 8;
     }
-    while j < n {
-        // SAFETY: `j < n <= b.len()` and `n <= out.len()`, so both
-        // unchecked accesses are in bounds.
+    if j < n {
+        let mask = lane_mask(n - j);
+        // SAFETY: the enabled lanes are `j..n`, inside both slices; masked
+        // lanes perform no memory access.
         unsafe {
-            let o = out.get_unchecked_mut(j);
-            *o = a.mul_add(*b.get_unchecked(j), *o);
+            let bv = _mm256_maskload_ps(b.as_ptr().add(j), mask);
+            let ov = _mm256_maskload_ps(out.as_ptr().add(j), mask);
+            _mm256_maskstore_ps(out.as_mut_ptr().add(j), mask, _mm256_fmadd_ps(av, bv, ov));
         }
-        j += 1;
     }
 }
 
-/// Row-at-a-time FMA kernel for one output row: `out_row[j] = Σ_k
-/// fma(a_row[k], w[k*cols + j])`, with the output row held in registers
-/// across the whole `k` loop.  Per element: one fused multiply-add per `k`,
-/// `k` ascending, skipping zero `a_row[k]` when `SKIP_ZEROS` — exactly the
-/// scalar tier's sequence, so results are bit-identical.
-///
-/// The slice bounds the pointer arithmetic relies on (`out_row.len() ==
-/// cols`, `w.len() >= a_row.len() * cols`) are asserted on entry in debug
-/// builds and guaranteed by `matmul_into`'s shape checks in release builds.
+/// Bit `i` is set iff `chunk[i]` is not ±0 (`chunk.len() <= 64`).  NaN and
+/// ±inf count as nonzero, so a clear bit is exactly the scalar tier's
+/// `a == 0.0` skip test: `_CMP_NEQ_UQ` is true for unordered operands.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn nonzero_bits(chunk: &[f32]) -> u64 {
+    use std::arch::x86_64::*;
+    debug_assert!(chunk.len() <= 64);
+    let zero = _mm256_setzero_ps();
+    let mut bits = 0u64;
+    let groups = chunk.chunks_exact(8);
+    let tail = groups.remainder();
+    for (g, group) in groups.enumerate() {
+        // SAFETY: the 8 lanes of the load are `group`.
+        let v = unsafe { _mm256_loadu_ps(group.as_ptr()) };
+        bits |=
+            u64::from(_mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero)) as u8) << (8 * g);
+    }
+    if !tail.is_empty() {
+        // SAFETY: the enabled lanes are `tail`; masked lanes perform no
+        // memory access and load +0, which leaves their bits clear.
+        let v = unsafe { _mm256_maskload_ps(tail.as_ptr(), lane_mask(tail.len())) };
+        let lanes = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero)) as u8;
+        bits |= u64::from(lanes) << (chunk.len() - tail.len());
+    }
+    bits
+}
+
+/// One step of [`accum_tile`]: `acc[t] = fma(a, w[off + 8t ..], acc[t])` for
+/// every vector of the tile, the last one masked to `last` when `MASKED`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx,fma")]
-fn accum_row_fma<const SKIP_ZEROS: bool>(
+#[inline]
+fn fma_step<const NV: usize, const MASKED: bool>(
+    a: f32,
+    w: &[f32],
+    off: usize,
+    last: std::arch::x86_64::__m256i,
+    acc: &mut [std::arch::x86_64::__m256; NV],
+) {
+    use std::arch::x86_64::*;
+    let av = _mm256_set1_ps(a);
+    for (t, accv) in acc.iter_mut().enumerate() {
+        debug_assert!(off + 8 * t < w.len());
+        // SAFETY: the caller's tile lies inside row `k` of `w`: every lane of
+        // an unmasked vector, and every enabled lane of the masked one, is
+        // below `(k + 1) * cols <= w.len()`; masked lanes perform no access.
+        let bv = unsafe {
+            let p = w.as_ptr().add(off + 8 * t);
+            if MASKED && t + 1 == NV {
+                _mm256_maskload_ps(p, last)
+            } else {
+                _mm256_loadu_ps(p)
+            }
+        };
+        *accv = _mm256_fmadd_ps(av, bv, *accv);
+    }
+}
+
+/// One column tile of [`accum_rows_fma`]: `out_row[j0..]` over `NV` 8-lane
+/// vectors (the last masked to `last` when `MASKED`) `+= a_row · w[.., tile]`,
+/// the tile held in registers across the whole `k` loop.
+///
+/// The zero skip is branch-free in the data: per chunk of up to 64 `k`, a
+/// bitmask of the nonzero `a_row` entries ([`nonzero_bits`]) is walked in
+/// ascending `k` (`trailing_zeros`, then clear the lowest bit), so the only
+/// data-dependent branch left is the loop exit.  A chunk with no zero walks
+/// `k` directly, as does the whole row when `SKIP_ZEROS` is off.  Per
+/// element: one fused multiply-add per nonzero `k`, `k` ascending, onto the
+/// value already in `out_row` (`+0` from the matmuls) — the scalar tier's
+/// sequence.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,fma")]
+fn accum_tile<const SKIP_ZEROS: bool, const NV: usize, const MASKED: bool>(
     a_row: &[f32],
     w: &[f32],
     cols: usize,
+    j0: usize,
+    last: std::arch::x86_64::__m256i,
     out_row: &mut [f32],
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(w.len() >= a_row.len() * cols);
-    debug_assert_eq!(out_row.len(), cols);
-    let mut j0 = 0usize;
-    // 64-column tiles: 8 accumulators, no loads/stores of `out` inside `k`.
-    while j0 + 64 <= cols {
-        debug_assert!(j0 + 64 <= out_row.len());
-        let p = out_row.as_mut_ptr();
-        // SAFETY: `j0 + 64 <= cols == out_row.len()`, so all eight 8-lane
-        // lanes of the tile lie inside `out_row`.
-        let mut acc = unsafe {
-            [
-                _mm256_loadu_ps(p.add(j0)),
-                _mm256_loadu_ps(p.add(j0 + 8)),
-                _mm256_loadu_ps(p.add(j0 + 16)),
-                _mm256_loadu_ps(p.add(j0 + 24)),
-                _mm256_loadu_ps(p.add(j0 + 32)),
-                _mm256_loadu_ps(p.add(j0 + 40)),
-                _mm256_loadu_ps(p.add(j0 + 48)),
-                _mm256_loadu_ps(p.add(j0 + 56)),
-            ]
+    debug_assert!(j0 + 8 * (NV - 1) < cols && cols == out_row.len());
+    debug_assert!(MASKED || j0 + 8 * NV <= cols);
+    let op = out_row.as_mut_ptr();
+    let mut acc = [_mm256_setzero_ps(); NV];
+    for (t, accv) in acc.iter_mut().enumerate() {
+        // SAFETY: the tile's lanes (enabled lanes for the masked vector) lie
+        // inside `out_row`; masked lanes perform no access.
+        *accv = unsafe {
+            let p = op.add(j0 + 8 * t);
+            if MASKED && t + 1 == NV {
+                _mm256_maskload_ps(p, last)
+            } else {
+                _mm256_loadu_ps(p)
+            }
         };
-        for (k, &a) in a_row.iter().enumerate() {
-            if SKIP_ZEROS && a == 0.0 {
-                continue; // matches the scalar loop's ReLU skip
-            }
-            let av = _mm256_set1_ps(a);
-            debug_assert!(k * cols + j0 + 64 <= w.len());
-            for (t, accv) in acc.iter_mut().enumerate() {
-                // SAFETY: `k < a_row.len()` and `j0 + 64 <= cols`, so
-                // `k*cols + j0 + t*8 + 8 <= a_row.len()*cols <= w.len()`
-                // keeps every lane of the load inside `w`.
-                let bv = unsafe { _mm256_loadu_ps(w.as_ptr().add(k * cols + j0 + t * 8)) };
-                *accv = _mm256_fmadd_ps(av, bv, *accv);
-            }
-        }
-        for (t, accv) in acc.iter().enumerate() {
-            // SAFETY: same tile bound as the loads above — `j0 + t*8 + 8 <=
-            // j0 + 64 <= out_row.len()`.
-            unsafe { _mm256_storeu_ps(p.add(j0 + t * 8), *accv) };
-        }
-        j0 += 64;
     }
-    // 8-column tiles.
-    while j0 + 8 <= cols {
-        debug_assert!(j0 + 8 <= out_row.len());
-        let p = out_row.as_mut_ptr();
-        // SAFETY: `j0 + 8 <= cols == out_row.len()` bounds the load.
-        let mut acc = unsafe { _mm256_loadu_ps(p.add(j0)) };
-        for (k, &a) in a_row.iter().enumerate() {
-            if SKIP_ZEROS && a == 0.0 {
+    if !SKIP_ZEROS {
+        for (kk, &a) in a_row.iter().enumerate() {
+            fma_step::<NV, MASKED>(a, w, kk * cols + j0, last, &mut acc);
+        }
+    } else {
+        for (c, chunk) in a_row.chunks(64).enumerate() {
+            let mut bits = nonzero_bits(chunk);
+            if bits == u64::MAX >> (64 - chunk.len()) {
+                for (i, &a) in chunk.iter().enumerate() {
+                    fma_step::<NV, MASKED>(a, w, (64 * c + i) * cols + j0, last, &mut acc);
+                }
                 continue;
             }
-            debug_assert!(k * cols + j0 + 8 <= w.len());
-            // SAFETY: `k < a_row.len()` and `j0 + 8 <= cols`, so the 8-lane
-            // load ends at `k*cols + j0 + 8 <= a_row.len()*cols <= w.len()`.
-            let bv = unsafe { _mm256_loadu_ps(w.as_ptr().add(k * cols + j0)) };
-            acc = _mm256_fmadd_ps(_mm256_set1_ps(a), bv, acc);
-        }
-        // SAFETY: same bound as the load of this tile.
-        unsafe { _mm256_storeu_ps(p.add(j0), acc) };
-        j0 += 8;
-    }
-    // Remaining columns, scalar `mul_add` (same fused op as the lanes).
-    if j0 < cols {
-        for (k, &a) in a_row.iter().enumerate() {
-            if SKIP_ZEROS && a == 0.0 {
-                continue;
-            }
-            for j in j0..cols {
-                debug_assert!(j < out_row.len() && k * cols + j < w.len());
-                // SAFETY: `j < cols == out_row.len()`, and `k*cols + j <
-                // a_row.len()*cols <= w.len()`.
-                unsafe {
-                    let o = out_row.get_unchecked_mut(j);
-                    *o = a.mul_add(*w.get_unchecked(k * cols + j), *o);
-                }
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // SAFETY: `nonzero_bits` sets bit `i` only for `i < chunk.len()`.
+                let a = unsafe { *chunk.get_unchecked(i) };
+                fma_step::<NV, MASKED>(a, w, (64 * c + i) * cols + j0, last, &mut acc);
             }
         }
     }
-}
-
-/// The 4×16 register-blocked AVX2+FMA microkernel: four output rows × 16
-/// columns (two YMM accumulators per row, 8 live accumulators) per tile.
-/// Each 16-wide chunk of a `B` row is loaded *once* per `k` and fused into
-/// all four output rows, and a column remainder below 8 lanes is handled
-/// with AVX masked loads/stores — no scalar cleanup loop, no out-of-bounds
-/// lanes.  That masked tail is where this kernel wins (2–3× on the TTP's
-/// 21-wide output layer, where [`accum_row_fma`] falls into a scalar tail);
-/// [`Matrix::matmul_into_with`] dispatches between the two by column shape.
-///
-/// `a4` holds four consecutive rows of `A` (`4 * k` values), `out4` the four
-/// matching rows of the output (`4 * cols`, contiguous in the row-major
-/// output).  Per element the operation sequence is identical to the scalar
-/// tier: one fused multiply-add per `k` in ascending-`k` order, with the
-/// per-`(row, k)` zero skip when `SKIP_ZEROS`, so blocking is invisible
-/// bitwise.
-///
-/// The slice geometry the pointer arithmetic relies on (`a4.len() == 4*k`,
-/// `out4.len() == 4*cols`, `w.len() >= k*cols`) is asserted in debug builds
-/// and guaranteed by `matmul_into`'s shape checks in release builds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-// lint: panic-free — register-block offsets are bounded by the dims the caller asserted; pinned vs the scalar tier by tests
-fn accum_rows4_fma<const SKIP_ZEROS: bool>(
-    a4: &[f32],
-    k: usize,
-    w: &[f32],
-    cols: usize,
-    out4: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a4.len(), 4 * k);
-    debug_assert_eq!(out4.len(), 4 * cols);
-    debug_assert!(w.len() >= k * cols);
-    let op = out4.as_mut_ptr();
-    let wp = w.as_ptr();
-    let mut j0 = 0usize;
-    // 16-column register tiles: 4 rows × 2 YMM accumulators.
-    while j0 + 16 <= cols {
-        let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            for (t, accv) in accr.iter_mut().enumerate() {
-                // SAFETY: `r < 4`, `t < 2`, and `j0 + 16 <= cols`, so
-                // `r*cols + j0 + t*8 + 8 <= 4*cols == out4.len()`.
-                *accv = unsafe { _mm256_loadu_ps(op.add(r * cols + j0 + t * 8)) };
+    for (t, accv) in acc.iter().enumerate() {
+        // SAFETY: same lanes as the accumulator loads above.
+        unsafe {
+            let p = op.add(j0 + 8 * t);
+            if MASKED && t + 1 == NV {
+                _mm256_maskstore_ps(p, last, *accv)
+            } else {
+                _mm256_storeu_ps(p, *accv)
             }
-        }
-        for kk in 0..k {
-            let a = [a4[kk], a4[k + kk], a4[2 * k + kk], a4[3 * k + kk]];
-            if SKIP_ZEROS && a == [0.0; 4] {
-                continue; // no row wants this B chunk — skip the loads too
-            }
-            // SAFETY: `kk < k` and `j0 + 16 <= cols`, so both 8-lane loads
-            // end at `kk*cols + j0 + 16 <= k*cols <= w.len()`.
-            let (b0, b1) = unsafe {
-                (
-                    _mm256_loadu_ps(wp.add(kk * cols + j0)),
-                    _mm256_loadu_ps(wp.add(kk * cols + j0 + 8)),
-                )
-            };
-            for (r, accr) in acc.iter_mut().enumerate() {
-                if SKIP_ZEROS && a[r] == 0.0 {
-                    continue; // matches the scalar loop's ReLU skip, per row
-                }
-                let av = _mm256_set1_ps(a[r]);
-                accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
-                accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            for (t, accv) in accr.iter().enumerate() {
-                // SAFETY: same tile bound as the accumulator loads above.
-                unsafe { _mm256_storeu_ps(op.add(r * cols + j0 + t * 8), *accv) };
-            }
-        }
-        j0 += 16;
-    }
-    // One 8-column tile if at least 8 columns remain.
-    if j0 + 8 <= cols {
-        let mut acc = [_mm256_setzero_ps(); 4];
-        for (r, accv) in acc.iter_mut().enumerate() {
-            // SAFETY: `j0 + 8 <= cols` bounds the lane span inside row `r`
-            // of `out4` (`r*cols + j0 + 8 <= 4*cols == out4.len()`).
-            *accv = unsafe { _mm256_loadu_ps(op.add(r * cols + j0)) };
-        }
-        for kk in 0..k {
-            let a = [a4[kk], a4[k + kk], a4[2 * k + kk], a4[3 * k + kk]];
-            if SKIP_ZEROS && a == [0.0; 4] {
-                continue;
-            }
-            // SAFETY: `kk < k` and `j0 + 8 <= cols` bound the load inside `w`.
-            let bv = unsafe { _mm256_loadu_ps(wp.add(kk * cols + j0)) };
-            for (r, accv) in acc.iter_mut().enumerate() {
-                if SKIP_ZEROS && a[r] == 0.0 {
-                    continue;
-                }
-                *accv = _mm256_fmadd_ps(_mm256_set1_ps(a[r]), bv, *accv);
-            }
-        }
-        for (r, accv) in acc.iter().enumerate() {
-            // SAFETY: same bound as this tile's loads.
-            unsafe { _mm256_storeu_ps(op.add(r * cols + j0), *accv) };
-        }
-        j0 += 8;
-    }
-    // Masked column tail (1–7 columns): lanes `>= rem` are disabled in both
-    // the loads and the stores, so no lane ever touches memory past the row.
-    if j0 < cols {
-        let rem = (cols - j0) as i32;
-        debug_assert!((1..8).contains(&rem));
-        let mask =
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(rem), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-        let mut acc = [_mm256_setzero_ps(); 4];
-        for (r, accv) in acc.iter_mut().enumerate() {
-            // SAFETY: enabled lanes are `j0..j0+rem == cols`, inside row `r`
-            // of `out4`; masked lanes perform no memory access.
-            *accv = unsafe { _mm256_maskload_ps(op.add(r * cols + j0), mask) };
-        }
-        for kk in 0..k {
-            let a = [a4[kk], a4[k + kk], a4[2 * k + kk], a4[3 * k + kk]];
-            if SKIP_ZEROS && a == [0.0; 4] {
-                continue;
-            }
-            // SAFETY: enabled lanes end at `kk*cols + cols <= k*cols <=
-            // w.len()`; masked lanes perform no memory access.
-            let bv = unsafe { _mm256_maskload_ps(wp.add(kk * cols + j0), mask) };
-            for (r, accv) in acc.iter_mut().enumerate() {
-                if SKIP_ZEROS && a[r] == 0.0 {
-                    continue;
-                }
-                *accv = _mm256_fmadd_ps(_mm256_set1_ps(a[r]), bv, *accv);
-            }
-        }
-        for (r, accv) in acc.iter().enumerate() {
-            // SAFETY: same enabled-lane bound as the masked loads.
-            unsafe { _mm256_maskstore_ps(op.add(r * cols + j0), mask, *accv) };
         }
     }
 }
 
 /// The vector tiers' body of both matmuls: `out += a · w` for `a` (`m × k`),
-/// `w` (`k × n`) and `out` (`m × n`, zeroed by the caller), with the zero
-/// skip of [`Matrix::matmul_into`] when `SKIP_ZEROS`.
+/// `w` (`k × n`) and `out` (`m × n`, zeroed by the caller), skipping zero
+/// `a[i][k]` when `SKIP_ZEROS`.  Each output row runs in 64-wide register
+/// tiles, then one tile of the remaining 1–63 columns whose last vector is
+/// masked (the TTP's 21-wide output layer is 2 full vectors plus 5 masked
+/// lanes, in one pass over the bitmask).
 ///
-/// The Avx2Fma tier is shape-aware (bit-identity makes the kernel choice
-/// free): when the columns split into whole 8-lane tiles, the row-at-a-time
-/// kernel's 64-wide tile already runs near FMA peak — `w` loads are L1 hits
-/// at these sizes, so the 4-row block's load amortization can't pay for its
-/// strided `a` gather and its 4× re-branching of the per-row zero skips.
-/// The block earns its keep on ragged column counts (the TTP's 21-wide
-/// output layer), where the row kernel would fall into a scalar tail but the
-/// masked-lane tail stays vectorized — measured 2–3× there (`nn_kernels`
-/// bench, dense and ReLU-sparse).
-///
-/// # Safety
-/// `tier` must be [`Tier::Avx`] or [`Tier::Avx2Fma`] and supported by this
-/// CPU ([`Tier::supported`]).  `a.len() == m * k`, `w.len() >= k * n` and
-/// `out.len() == m * n`, which the callers' shape asserts guarantee.
+/// The geometry the pointer arithmetic relies on (`a.len() == m * k`,
+/// `w.len() >= k * n`, `out.len() == m * n`) is asserted in debug builds and
+/// guaranteed by the matmuls' shape checks in release builds.
 #[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,fma")]
 // lint: panic-free — row offsets are bounded by the m*k / m*n geometry the caller asserted
-unsafe fn accum_rows_vector<const SKIP_ZEROS: bool>(
-    tier: Tier,
+fn accum_rows_fma<const SKIP_ZEROS: bool>(
     a: &[f32],
     k: usize,
     w: &[f32],
     n: usize,
     out: &mut [f32],
 ) {
-    debug_assert!(tier != Tier::Scalar && tier.supported());
-    debug_assert!(w.len() >= k * n);
-    let m = out.len().checked_div(n).unwrap_or(0); // n == 0: `out` is empty
-    let mut i = 0;
-    if tier == Tier::Avx2Fma && !n.is_multiple_of(8) {
-        // 4-row register blocks...
-        while i + 4 <= m {
-            // SAFETY: the caller guarantees `Avx2Fma` is supported, i.e.
-            // AVX2 and FMA are present.
-            unsafe {
-                accum_rows4_fma::<SKIP_ZEROS>(
-                    &a[i * k..(i + 4) * k],
-                    k,
-                    w,
-                    n,
-                    &mut out[i * n..(i + 4) * n],
-                )
-            };
-            i += 4;
-        }
-        // ... and the row-at-a-time kernel for the 1–3 row tail
-        // (bit-identical: same per-element op sequence).
+    debug_assert!(w.len() >= k * n && a.len() * n == out.len() * k);
+    if n == 0 {
+        return; // `out` is empty; chunks_exact_mut(0) would panic
     }
-    while i < m {
-        // SAFETY: both vector tiers imply the AVX and FMA this kernel
-        // requires (the caller guarantees the tier is supported).
-        unsafe {
-            accum_row_fma::<SKIP_ZEROS>(&a[i * k..(i + 1) * k], w, n, &mut out[i * n..(i + 1) * n])
-        };
-        i += 1;
+    let (full, rem) = (n / 64 * 64, n % 64);
+    let last = lane_mask((rem + 7) % 8 + 1); // lanes of the last vector
+    for (i, o) in out.chunks_exact_mut(n).enumerate() {
+        let a = &a[i * k..(i + 1) * k];
+        for j0 in (0..full).step_by(64) {
+            accum_tile::<SKIP_ZEROS, 8, false>(a, w, n, j0, last, o);
+        }
+        match rem.div_ceil(8) {
+            0 => {}
+            1 => accum_tile::<SKIP_ZEROS, 1, true>(a, w, n, full, last, o),
+            2 => accum_tile::<SKIP_ZEROS, 2, true>(a, w, n, full, last, o),
+            3 => accum_tile::<SKIP_ZEROS, 3, true>(a, w, n, full, last, o),
+            4 => accum_tile::<SKIP_ZEROS, 4, true>(a, w, n, full, last, o),
+            5 => accum_tile::<SKIP_ZEROS, 5, true>(a, w, n, full, last, o),
+            6 => accum_tile::<SKIP_ZEROS, 6, true>(a, w, n, full, last, o),
+            7 => accum_tile::<SKIP_ZEROS, 7, true>(a, w, n, full, last, o),
+            _ => accum_tile::<SKIP_ZEROS, 8, true>(a, w, n, full, last, o),
+        }
+    }
+}
+
+/// The vector tiers' body of [`Matrix::t_matmul_acc`]: `out += xᵀ · dy` for
+/// `x` (`m × k`), `dy` (`m × n`) and `out` (`k × n`).  Row `r` adds
+/// `x[r][i] · dy[r]` into `out` row `i` for each nonzero `x[r][i]`, walking a
+/// [`nonzero_bits`] mask instead of branching per activation; `r` ascending,
+/// `i` ascending within it — the scalar tier's order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,fma")]
+// lint: panic-free — row offsets are bounded by the m*k / m*n / k*n geometry the caller asserted
+fn t_matmul_acc_fma(x: &[f32], k: usize, dy: &[f32], n: usize, out: &mut [f32]) {
+    if n == 0 {
+        return; // `out` is empty; chunks_exact(0) would panic
+    }
+    for (r, dy_row) in dy.chunks_exact(n).enumerate() {
+        let x_row = &x[r * k..(r + 1) * k];
+        for (c, chunk) in x_row.chunks(64).enumerate() {
+            let mut bits = nonzero_bits(chunk);
+            while bits != 0 {
+                let i = c * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                axpy_fma(x_row[i], dy_row, &mut out[i * n..(i + 1) * n]);
+            }
+        }
     }
 }
 
@@ -681,10 +599,9 @@ impl Matrix {
         #[cfg(target_arch = "x86_64")]
         if tier != Tier::Scalar {
             // SAFETY: a non-scalar tier passed the `supported` assert above,
-            // and the shape asserts and resize fix `m*k`, `k*n` and `m*n`.
-            unsafe {
-                accum_rows_vector::<true>(tier, &self.data, k, &other.data, n, &mut out.data)
-            };
+            // i.e. AVX and FMA are present; the shape asserts and resize fix
+            // `m*k`, `k*n` and `m*n`.
+            unsafe { accum_rows_fma::<true>(&self.data, k, &other.data, n, &mut out.data) };
             return;
         }
         for i in 0..self.rows {
@@ -725,6 +642,15 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "row counts must agree");
         assert_eq!((out.rows, out.cols), (self.cols, other.cols), "output shape mismatch");
         assert!(tier.supported(), "kernel tier {tier:?} not supported by this CPU");
+        #[cfg(target_arch = "x86_64")]
+        if tier != Tier::Scalar {
+            // SAFETY: a non-scalar tier passed the `supported` assert above,
+            // i.e. AVX and FMA are present; the asserts fix `m*k`, `m*n`, `k*n`.
+            unsafe {
+                t_matmul_acc_fma(&self.data, self.cols, &other.data, other.cols, &mut out.data)
+            };
+            return;
+        }
         for r in 0..self.rows {
             let a_row = &self.data[r * self.cols..(r + 1) * self.cols];
             let b_row = other.row(r);
@@ -732,7 +658,12 @@ impl Matrix {
                 if a == 0.0 {
                     continue;
                 }
-                axpy_with(tier, a, b_row, &mut out.data[i * other.cols..(i + 1) * other.cols]);
+                axpy_with(
+                    Tier::Scalar,
+                    a,
+                    b_row,
+                    &mut out.data[i * other.cols..(i + 1) * other.cols],
+                );
             }
         }
     }
@@ -758,7 +689,7 @@ impl Matrix {
     /// The scalar tier computes each output element as one sequential fused
     /// dot product.  Vectorizing that reduction would reorder it, so the
     /// vector tiers vectorize across output *columns* instead: they
-    /// transpose `other` into `other_t` and run the column-lane kernels of
+    /// transpose `other` into `other_t` and run the column-lane row kernel of
     /// [`Matrix::matmul_into_with`] with the zero skip compiled out.  Each
     /// lane then carries one element's own chain — start at `+0`, one fused
     /// multiply-add per `k`, `k` ascending — so every tier is bit-identical.
@@ -781,11 +712,11 @@ impl Matrix {
         if tier != Tier::Scalar {
             other.transpose_into(other_t);
             out.data.fill(0.0);
-            // SAFETY: a non-scalar tier passed the `supported` assert above;
-            // `other_t` is `k × n` and `out` is `m × n` after the resizes.
+            // SAFETY: a non-scalar tier passed the `supported` assert above,
+            // i.e. AVX and FMA are present; `other_t` is `k × n` and `out` is
+            // `m × n` after the resizes.
             unsafe {
-                accum_rows_vector::<false>(
-                    tier,
+                accum_rows_fma::<false>(
                     &self.data,
                     self.cols,
                     &other_t.data,
@@ -962,10 +893,11 @@ mod tests {
 
     #[test]
     fn matmul_tiers_are_bit_identical() {
-        // Shapes cover the 4×16 register block, the 1–3 row tail, the
-        // 8-wide column tile, the masked column tail, and combinations
-        // (16 + 8 + masked tail at cols = 29); zeros in the left matrix
-        // exercise the per-(row, k) sparsity skip on every path.
+        // Shapes cover the 64-wide column tile, remainder tiles of 1–8
+        // vectors with a masked last vector (full at cols = 8 and 16), a
+        // 64-tile plus remainder (cols = 77), and k past one 64-bit mask
+        // chunk (k = 70); zeros in the left matrix exercise the bitmask
+        // walk, and the zero-free rows its full-chunk path.
         for (m, k, n) in [
             (1usize, 5usize, 3usize),
             (4, 21, 64),
@@ -974,6 +906,7 @@ mod tests {
             (8, 16, 16),
             (5, 3, 29),
             (12, 22, 8),
+            (3, 70, 21),
         ] {
             let a = Matrix::from_vec(
                 m,
@@ -1034,9 +967,9 @@ mod tests {
     #[test]
     fn matmul_t_tiers_match_scalar_on_edge_values() {
         // Small enough for Miri, which runs the vector kernels when CI
-        // compiles with AVX2+FMA: n = 19 takes the 4-row block's 16-wide
-        // tile and masked tail plus the row kernel's 1-row tail, n = 8 the
-        // 8-wide tile, n = 3 the scalar tail; k = 1 is a one-step chain.
+        // compiles with AVX2+FMA: n = 19 takes a 3-vector tile with 3
+        // masked lanes, n = 8 a 1-vector tile with every lane enabled,
+        // n = 3 a 1-vector tile with 3; k = 1 is a one-step chain.
         // The values make skipping a zero `a` visible: `0 · inf` is NaN,
         // and `+0 + (-1e-30 · 1e-30)` rounds to -0, which a later `0 · 2`
         // step turns back into +0.
@@ -1058,6 +991,47 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn negative_zero_activation_skips_infinite_weight_on_every_tier() {
+        // Skipping `a == ±0` and fusing it differ exactly here: fma(-0, inf,
+        // acc) is NaN, so a skipped step must leave the accumulator as it
+        // was.  The -0 sits past the first 64-bit mask chunk (k = 66) and
+        // beside a NaN activation, which is kept: its column turns NaN.
+        let k = 66;
+        let mut a = vec![1.0f32; k];
+        a[65] = -0.0;
+        a[3] = -0.0;
+        let mut w = vec![0.5f32; k * 3];
+        w[65 * 3] = f32::INFINITY;
+        w[3 * 3 + 1] = f32::NEG_INFINITY;
+        let (a, w) = (Matrix::from_vec(1, k, a), Matrix::from_vec(k, 3, w));
+        for tier in supported_tiers() {
+            let mut out = Matrix::zeros(0, 0);
+            a.matmul_into_with(tier, &w, &mut out);
+            assert_eq!(out.data(), &[32.0; 3], "matmul_into, tier {tier:?}");
+            // xᵀ·dy: out row i += x[0][i] · dy[0]; rows 3 and 65 are skipped.
+            let dy = Matrix::from_vec(1, 3, vec![f32::INFINITY, f32::NAN, 1.0]);
+            let mut acc = Matrix::from_vec(k, 3, vec![2.0; k * 3]);
+            a.t_matmul_acc_with(tier, &dy, &mut acc);
+            for i in 0..k {
+                let row = acc.row(i);
+                if i == 3 || i == 65 {
+                    assert_eq!(row, &[2.0; 3], "t_matmul_acc row {i}, tier {tier:?}");
+                } else {
+                    assert!(row[0] == f32::INFINITY && row[1].is_nan() && row[2] == 3.0);
+                }
+            }
+        }
+        // A kept NaN activation poisons every column it touches.
+        let nan_row = Matrix::from_vec(1, 2, vec![f32::NAN, -0.0]);
+        let w2 = Matrix::from_vec(2, 9, vec![1.0; 18]);
+        for tier in supported_tiers() {
+            let mut out = Matrix::zeros(0, 0);
+            nan_row.matmul_into_with(tier, &w2, &mut out);
+            assert!(out.data().iter().all(|v| v.is_nan()), "tier {tier:?}");
         }
     }
 

@@ -22,34 +22,53 @@ fn supported_tiers() -> Vec<Tier> {
     Tier::ALL.into_iter().filter(|t| t.supported()).collect()
 }
 
-/// Arbitrary `(A: m×k, B: k×n)` pair over shapes that sweep every microkernel
-/// path: rows not a multiple of the 4-row block (including the 0-row empty
-/// and 1-row cases), columns crossing the 64/16/8-wide tiles and the masked
-/// 1–7-column tail (including tail-only and empty widths), and a zero mask on
-/// `A` so the per-`(row, k)` sparsity skip fires on every path.
+/// Arbitrary `(A: m×k, B: k×n)` pair over shapes that sweep every kernel
+/// path: any row count (including 0 and 1), `k` past the 64-bit chunk of the
+/// zero-skip bitmask, and columns across the 64-wide tile and remainder tiles
+/// of 1–8 vectors with a masked last vector (including tail-only and empty
+/// widths).  A per-case density of ±0 (from none, so whole chunks take the
+/// full-mask path, to all) and of NaN/±inf among finite values in `A` pins
+/// the skip semantics: ±0 is skipped, NaN and ±inf are kept.  `B` carries
+/// the same NaN/±inf, so a skipped `-0 · inf` would show.
 fn arb_matmul_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
     // Element vectors are drawn at the maximum size and truncated to the
     // sampled shape (the vendored proptest shim has no `prop_flat_map`).
-    const MAX_M: usize = 13;
-    const MAX_K: usize = 18;
-    const MAX_N: usize = 40;
+    const MAX_M: usize = 9;
+    const MAX_K: usize = 72;
+    const MAX_N: usize = 72;
+    let elems = |len| prop::collection::vec((0usize..64, 0usize..5, -10.0f32..10.0), len);
     (
-        0usize..MAX_M,
-        0usize..MAX_K,
-        0usize..MAX_N,
-        prop::collection::vec(-10.0f32..10.0, MAX_M * MAX_K),
-        prop::collection::vec(any::<bool>(), MAX_M * MAX_K),
-        prop::collection::vec(-10.0f32..10.0, MAX_K * MAX_N),
+        (0usize..MAX_M, 0usize..MAX_K, 0usize..MAX_N),
+        0usize..65,
+        0usize..4,
+        elems(MAX_M * MAX_K),
+        elems(MAX_K * MAX_N),
     )
-        .prop_map(|(m, k, n, a, mask, b)| {
-            let a: Vec<f32> =
-                a.iter().zip(&mask).take(m * k).map(|(&v, &z)| if z { 0.0 } else { v }).collect();
-            let b: Vec<f32> = b[..k * n].to_vec();
-            (Matrix::from_vec(m, k, a), Matrix::from_vec(k, n, b))
+        .prop_map(|((m, k, n), zeros, specials, a, b)| {
+            let a_pick = |&(u, e, v): &(usize, usize, f32)| {
+                if u < zeros {
+                    EDGE_VALUES[e % 2]
+                } else if u < zeros + specials {
+                    EDGE_VALUES[2 + e % 3]
+                } else {
+                    v
+                }
+            };
+            let b_pick = |&(u, e, v): &(usize, usize, f32)| {
+                if u < specials {
+                    EDGE_VALUES[2 + e % 3]
+                } else {
+                    v
+                }
+            };
+            (
+                Matrix::from_vec(m, k, a.iter().take(m * k).map(a_pick).collect()),
+                Matrix::from_vec(k, n, b.iter().take(k * n).map(b_pick).collect()),
+            )
         })
 }
 
-/// Values that pin `dy·Wᵀ`'s no-zero-skip op sequence: signed zeros,
+/// Values that pin the kernels' zero-skip semantics: signed zeros,
 /// infinities and NaN (where `fma(0, b, acc)` and skipping it differ),
 /// products that underflow to `-0` against a `+0` accumulator, subnormals,
 /// and products that overflow.
@@ -203,16 +222,16 @@ proptest! {
     #[test]
     fn matmul_tiers_bit_identical_over_odd_shapes(ab in arb_matmul_operands()) {
         let (a, b) = ab;
-        // The cross-tier contract of the kernel family: the scalar-mul_add,
-        // AVX+FMA, and register-blocked AVX2+FMA tiers must agree to the
-        // last bit on every shape — non-tile-multiple rows and columns,
-        // single-row, empty, and tail-only matrices included.
+        // The cross-tier contract of the kernel family: the scalar
+        // `mul_add` loop with its `a == 0.0` branch and the vector tiers'
+        // bitmask walk must agree to the last bit (NaN payloads aside) on
+        // every shape — ragged, single-row, empty and tail-only included.
         let mut reference = Matrix::zeros(0, 0);
         a.matmul_into_with(Tier::Scalar, &b, &mut reference);
         for tier in supported_tiers() {
             let mut out = Matrix::zeros(0, 0);
             a.matmul_into_with(tier, &b, &mut out);
-            prop_assert_eq!(out.data(), reference.data(), "tier {:?}", tier);
+            prop_assert!(same_bits(out.data(), reference.data()), "tier {:?}", tier);
         }
     }
 
@@ -248,16 +267,18 @@ proptest! {
     fn t_matmul_acc_tiers_bit_identical_over_odd_shapes(ab in arb_matmul_operands()) {
         let (a, b) = ab;
         // xᵀ·dy (the weight-gradient kernel): `a` is m×k, so pair it with an
-        // m-row right-hand side built from `b`'s data when shapes permit.
-        let m = a.rows();
-        let n = b.cols();
-        let rhs = Matrix::from_vec(m, n, (0..m * n).map(|i| ((i as f32) * 0.29).sin()).collect());
-        let mut reference = Matrix::zeros(a.cols(), n);
+        // m-row right-hand side cycled from `b`'s values (NaN/±inf included)
+        // and accumulate into a nonzero `gw`.
+        let (m, n) = (a.rows(), b.cols());
+        let vals = if b.data().is_empty() { vec![1.0] } else { b.data().to_vec() };
+        let rhs = Matrix::from_vec(m, n, vals.iter().copied().cycle().take(m * n).collect());
+        let init: Vec<f32> = (0..a.cols() * n).map(|i| ((i as f32) * 0.29).sin()).collect();
+        let mut reference = Matrix::from_vec(a.cols(), n, init.clone());
         a.t_matmul_acc_with(Tier::Scalar, &rhs, &mut reference);
         for tier in supported_tiers() {
-            let mut out = Matrix::zeros(a.cols(), n);
+            let mut out = Matrix::from_vec(a.cols(), n, init.clone());
             a.t_matmul_acc_with(tier, &rhs, &mut out);
-            prop_assert_eq!(out.data(), reference.data(), "tier {:?}", tier);
+            prop_assert!(same_bits(out.data(), reference.data()), "tier {:?}", tier);
         }
     }
 

@@ -116,7 +116,6 @@ impl RateTrace {
     /// Bytes carried within one loop between wrapped times `a <= b`.
     fn bytes_within_loop(&self, a: f64, b: f64) -> f64 {
         debug_assert!(a <= b && b <= self.total_duration + 1e-9);
-        let ia = self.epoch_index(a.min(self.total_duration - f64::EPSILON).max(0.0));
         // cumulative bytes at absolute in-loop time t
         let cum_at = |t: f64| -> f64 {
             if t >= self.total_duration {
@@ -125,7 +124,6 @@ impl RateTrace {
             let i = self.epoch_index(t);
             self.cum_bytes[i] + self.rates[i] * (t - self.starts[i])
         };
-        let _ = ia;
         cum_at(b) - cum_at(a)
     }
 

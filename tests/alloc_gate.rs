@@ -364,11 +364,11 @@ fn train_one_net_epochs_are_allocation_free() {
     );
 }
 
-/// The register-blocked matmul family: zero heap operations on a warm output
+/// The register-tiled matmul family: zero heap operations on a warm output
 /// matrix, on every kernel tier this CPU supports.  The shape is the batched
 /// RCT staged pass — `(streams · rungs)` rows through a 64-wide hidden layer
-/// — so the 4×16 register blocks, the row tail, and the dispatch itself are
-/// all inside the measured region.
+/// — so the 64-column tiles, the masked remainder tile, and the dispatch
+/// itself are all inside the measured region.
 #[test]
 fn blocked_matmul_is_allocation_free() {
     use puffer_repro::nn::{Matrix, Tier};
