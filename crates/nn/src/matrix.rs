@@ -6,12 +6,11 @@
 //! minibatches through the same layers forwards and backwards, so the matmul
 //! family dispatches over a small kernel hierarchy at runtime:
 //!
-//! * [`Tier::Avx2Fma`] and [`Tier::Avx`] — one 8-lane AVX+FMA row kernel:
-//!   each output row runs in 64-column register tiles plus one tile of the
-//!   remaining columns whose last vector is masked (the TTP's 21-wide output
-//!   layer is two full vectors and 5 masked lanes), the tile's accumulators
-//!   held in registers across the whole `k` loop.  The kernel needs only AVX
-//!   and FMA, so both tiers run it.
+//! * [`Tier::Avx`] — one 8-lane AVX+FMA row kernel: each output row runs in
+//!   64-column register tiles plus one tile of the remaining columns whose
+//!   last vector is masked (the TTP's 21-wide output layer is two full
+//!   vectors and 5 masked lanes), the tile's accumulators held in registers
+//!   across the whole `k` loop.  The kernel needs only AVX and FMA, no AVX2.
 //! * [`Tier::Scalar`] — portable `f32::mul_add` loops; the oracle the vector
 //!   tiers are pinned against, and what Miri interprets unless CI enables
 //!   the vector features at compile time.
@@ -54,7 +53,6 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuFeatures {
     pub avx: bool,
-    pub avx2: bool,
     pub fma: bool,
 }
 
@@ -69,13 +67,12 @@ pub fn cpu_features() -> CpuFeatures {
 fn detect_features() -> CpuFeatures {
     // Miri cannot execute `cpuid`; report the *compile-time* target features
     // instead, so `cargo miri test` with
-    // `RUSTFLAGS="-C target-feature=+avx2,+fma"` interprets the real vector
+    // `RUSTFLAGS="-C target-feature=+fma,+avx"` interprets the real vector
     // kernels (the CI Miri job does exactly this) while a plain Miri run
     // interprets the portable scalar tier.
     if cfg!(miri) {
         return CpuFeatures {
             avx: cfg!(target_feature = "avx"),
-            avx2: cfg!(target_feature = "avx2"),
             fma: cfg!(target_feature = "fma"),
         };
     }
@@ -83,7 +80,6 @@ fn detect_features() -> CpuFeatures {
     {
         CpuFeatures {
             avx: std::arch::is_x86_feature_detected!("avx"),
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
             fma: std::arch::is_x86_feature_detected!("fma"),
         }
     }
@@ -102,9 +98,6 @@ pub enum Tier {
     Scalar = 0,
     /// The 8-lane AVX row kernels using FMA (requires AVX *and* FMA).
     Avx = 1,
-    /// What detection reports on AVX2+FMA hardware; runs the same kernels
-    /// as [`Tier::Avx`], which use no AVX2 instruction.
-    Avx2Fma = 2,
 }
 
 /// Test/bench override for [`Tier::detect`]: 0 = auto, else `tier as u8 + 1`.
@@ -117,8 +110,8 @@ static TIER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 /// can only be made slower, never wrong.
 ///
 /// # Panics
-/// Panics if the CPU does not support `tier` (running an AVX2 kernel on a
-/// CPU without AVX2 would be undefined behaviour, so it is refused here).
+/// Panics if the CPU does not support `tier` (running an AVX+FMA kernel on a
+/// CPU without them would be undefined behaviour, so it is refused here).
 pub fn force_tier(tier: Option<Tier>) {
     let v = match tier {
         None => 0,
@@ -133,7 +126,7 @@ pub fn force_tier(tier: Option<Tier>) {
 
 impl Tier {
     /// Every tier, slowest first.
-    pub const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx, Tier::Avx2Fma];
+    pub const ALL: [Tier; 2] = [Tier::Scalar, Tier::Avx];
 
     /// The best tier this CPU supports (cached detection), unless a test
     /// override ([`force_tier`]) is active.
@@ -143,12 +136,9 @@ impl Tier {
         match TIER_OVERRIDE.load(Ordering::Relaxed) {
             1 => Tier::Scalar,
             2 => Tier::Avx,
-            3 => Tier::Avx2Fma,
             _ => {
                 let f = cpu_features();
-                if f.avx2 && f.fma {
-                    Tier::Avx2Fma
-                } else if f.avx && f.fma {
+                if f.avx && f.fma {
                     Tier::Avx
                 } else {
                     Tier::Scalar
@@ -163,7 +153,6 @@ impl Tier {
         match self {
             Tier::Scalar => true,
             Tier::Avx => f.avx && f.fma,
-            Tier::Avx2Fma => f.avx2 && f.fma,
         }
     }
 
@@ -172,7 +161,6 @@ impl Tier {
         match self {
             Tier::Scalar => "scalar",
             Tier::Avx => "avx",
-            Tier::Avx2Fma => "avx2fma",
         }
     }
 }
@@ -858,10 +846,6 @@ mod tests {
         assert_eq!(f, cpu_features(), "cached detection must be stable");
         let t = Tier::detect();
         assert!(t.supported());
-        // AVX2+FMA implies the lower vector tier is also runnable.
-        if Tier::Avx2Fma.supported() {
-            assert!(Tier::Avx.supported());
-        }
     }
 
     #[test]
@@ -967,7 +951,7 @@ mod tests {
     #[test]
     fn matmul_t_tiers_match_scalar_on_edge_values() {
         // Small enough for Miri, which runs the vector kernels when CI
-        // compiles with AVX2+FMA: n = 19 takes a 3-vector tile with 3
+        // compiles with AVX+FMA: n = 19 takes a 3-vector tile with 3
         // masked lanes, n = 8 a 1-vector tile with every lane enabled,
         // n = 3 a 1-vector tile with 3; k = 1 is a one-step chain.
         // The values make skipping a zero `a` visible: `0 · inf` is NaN,

@@ -29,22 +29,25 @@
 //! session's distributions — pinned by the fingerprint tests in
 //! `tests/determinism.rs` and the property test in `tests/invariants.rs`.
 //!
-//! Admission contract under fault injection: sessions carrying an injected
-//! panic (`FaultPlan::session_panic_after`) are *never* admitted to a wave —
-//! the worker runs them inline under `catch_unwind` so an unwinding session
-//! can only take itself down, not the co-batched wave.  Because batching is
-//! bit-identical to the inline path, routing a session inline never changes
-//! its outcome, so the exclusion cannot perturb a zero-fault replay.
+//! Admission contract: every session of a Fugu-family arm joins the wave,
+//! including sessions carrying an injected panic
+//! (`FaultPlan::session_panic_after`).  Each session's own work — its
+//! `poll_decision`, and its `plan_from_dists` + `advance` — runs under
+//! `catch_unwind`, so a session that unwinds (injected or real) is retired
+//! as quarantined and the rest of the wave carries on.  Retiring it only
+//! drops its rows from later passes, and rows are independent, so no other
+//! session's outcome changes.  The batched forward pass is shared by the
+//! whole wave and is not caught: a panic there is a worker-level bug and
+//! fails the worker, as it would on the inline path.
 
-use crate::experiment::{ArmAbrs, ExperimentConfig};
+use crate::experiment::ArmAbrs;
 use crate::scheme::SchemeSpec;
 use crate::session::{SessionOutcome, SessionRun};
-use crate::stream::StreamConfig;
 use crate::user::UserModel;
 use fugu::{PlanScratch, StochasticMpc, Ttp, TtpBatchQuery, TtpScratch, N_BINS};
 use puffer_abr::ChunkRecord;
 use puffer_net::TcpInfo;
-use puffer_trace::TraceBank;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Wave size: sessions a worker keeps in flight at once.  Large enough that
@@ -63,6 +66,9 @@ struct ActiveSession {
     /// sessions via the spare list, exactly like the pooled per-worker
     /// Fugu's scratch in the inline path.
     scratch: PlanScratch,
+    /// Its plan or advance unwound last round: the next poll retires it as
+    /// quarantined.
+    crashed: bool,
 }
 
 /// The planner half of a Fugu arm, shared read-only across the wave (the
@@ -123,9 +129,7 @@ fn ttp_groups_for(
 
 /// Per-worker scheduler: admits sessions, runs decision rounds, retires
 /// finished sessions.  No synchronization — each worker owns one.
-pub(crate) struct BatchRunner<'a> {
-    bank: &'a TraceBank,
-    cfg: &'a ExperimentConfig,
+pub(crate) struct BatchRunner {
     /// Per arm: `Some` iff the arm is Fugu-family (batchable).
     planners: Vec<Option<ArmPlanner>>,
     /// Arms whose staged decisions merge into one batched pass: each inner
@@ -148,12 +152,8 @@ pub(crate) struct BatchRunner<'a> {
     spans: Vec<Span>,
 }
 
-impl<'a> BatchRunner<'a> {
-    pub(crate) fn new(
-        schemes: &[SchemeSpec],
-        bank: &'a TraceBank,
-        cfg: &'a ExperimentConfig,
-    ) -> Self {
+impl BatchRunner {
+    pub(crate) fn new(schemes: &[SchemeSpec], batch_across_arms: bool) -> Self {
         let planners: Vec<Option<ArmPlanner>> = schemes
             .iter()
             .map(|s| {
@@ -161,10 +161,8 @@ impl<'a> BatchRunner<'a> {
                     .map(|(ttp, config)| ArmPlanner { ttp, planner: StochasticMpc::new(config) })
             })
             .collect();
-        let (ttp_groups, group_of) = ttp_groups_for(&planners, cfg.batch_across_arms);
+        let (ttp_groups, group_of) = ttp_groups_for(&planners, batch_across_arms);
         BatchRunner {
-            bank,
-            cfg,
             planners,
             ttp_groups,
             group_of,
@@ -193,38 +191,42 @@ impl<'a> BatchRunner<'a> {
         self.active.is_empty()
     }
 
-    /// Add a session to the wave (it first runs at the next round).
-    pub(crate) fn admit(&mut self, index: usize, arm: usize, session_id: u64, seed: u64) {
+    /// Add session `index` of `arm` to the wave (it first runs at the next
+    /// round).
+    pub(crate) fn admit(&mut self, index: usize, arm: usize, run: SessionRun) {
         debug_assert!(self.is_batchable(arm) && self.has_room());
-        let stream_cfg = StreamConfig { expt_id: arm as u32, ..StreamConfig::default() };
-        let run =
-            SessionRun::begin(self.bank, &self.cfg.user, self.cfg.cc, stream_cfg, session_id, seed);
         let scratch = self.spare.pop().unwrap_or_default();
-        self.active.push(ActiveSession { index, arm, run, scratch });
+        self.active.push(ActiveSession { index, arm, run, scratch, crashed: false });
     }
 
     /// One decision round: poll every session to its next staged decision
-    /// (retiring finished sessions into `finished` as
-    /// `(spec index, arm, outcome)`), answer all staged decisions with one
-    /// batched TTP pass per (arm, lookahead step), then commit every
-    /// session's chosen rung.
+    /// (retiring ended sessions into `finished` as
+    /// `(spec index, arm, outcome)`, with no outcome for a session that
+    /// unwound), answer all staged decisions with one batched TTP pass per
+    /// (TTP group, lookahead step), then commit every session's chosen rung.
     pub(crate) fn round(
         &mut self,
         pool: &mut ArmAbrs<'_>,
         user: &UserModel,
-        finished: &mut Vec<(usize, usize, SessionOutcome)>,
+        finished: &mut Vec<(usize, usize, Option<SessionOutcome>)>,
     ) {
         // --- poll / retire ---
         let mut i = 0;
         while i < self.active.len() {
             let a = &mut self.active[i];
-            if a.run.poll_decision(pool.get(a.arm), user) {
-                i += 1;
+            let abr = pool.get(a.arm);
+            let polled = if a.crashed {
+                Err(())
             } else {
-                let a = self.active.swap_remove(i);
-                self.spare.push(a.scratch);
-                finished.push((a.index, a.arm, a.run.finish()));
+                catch_unwind(AssertUnwindSafe(|| a.run.poll_decision(abr, user))).map_err(drop)
+            };
+            if polled == Ok(true) {
+                i += 1;
+                continue;
             }
+            let a = self.active.swap_remove(i);
+            self.spare.push(a.scratch);
+            finished.push((a.index, a.arm, polled.ok().map(|_| a.run.finish())));
         }
 
         // --- batched TTP fill + plan + advance, TTP group by TTP group ---
@@ -324,17 +326,24 @@ impl<'a> BatchRunner<'a> {
             // Every session's distributions are in place: run the value
             // iteration per session — with the session's *own* arm's
             // controller configuration (the ablation arms in a group differ
-            // exactly here) — and commit the chosen rung.
+            // exactly here) — and commit the chosen rung.  A session that
+            // unwinds here is marked and retired by the next poll.
             for gi in 0..self.group.len() {
                 let (s, _, _) = self.group[gi];
                 let arm = self.active[s].arm;
                 let planner = self.planners[arm].as_ref().expect("grouped arms are batchable");
+                let abr = pool.get(arm);
                 let a = &mut self.active[s];
-                let rung = {
+                a.crashed = catch_unwind(AssertUnwindSafe(|| {
                     let ctx = a.run.context();
-                    planner.planner.plan_from_dists(&ctx, planner.ttp.horizon(), &mut a.scratch)
-                };
-                a.run.advance(rung, pool.get(arm), user);
+                    let rung = planner.planner.plan_from_dists(
+                        &ctx,
+                        planner.ttp.horizon(),
+                        &mut a.scratch,
+                    );
+                    a.run.advance(rung, abr, user);
+                }))
+                .is_err();
             }
         }
     }
@@ -375,5 +384,49 @@ mod tests {
         let (groups, group_of) = ttp_groups_for(&planners, false);
         assert_eq!(groups, vec![vec![1], vec![2], vec![3]]);
         assert_eq!(group_of, vec![None, Some(0), Some(1), Some(2)]);
+    }
+
+    #[test]
+    fn a_crashed_session_is_quarantined_and_the_wave_is_unchanged() {
+        use crate::experiment::ArmAbrs;
+        use crate::stream::StreamConfig;
+        use puffer_net::CongestionControl;
+        use puffer_trace::TraceBank;
+        let ttp = Ttp::new(TtpConfig::default(), 3);
+        let schemes = vec![SchemeSpec::fugu_frozen(ttp, TtpVariant::Full, "Fugu")];
+        let bank = TraceBank::puffer();
+        // Sessions of a minute or two keep the test quick in debug builds.
+        let user = UserModel { intent_cap: 120.0, ..UserModel::default() };
+        // Retire session `crash` as if its plan or advance had unwound in
+        // the first round; every other session must end exactly as it does
+        // in an undisturbed wave.
+        let run_wave = |crash: Option<usize>| {
+            let mut pool = ArmAbrs::new(&schemes);
+            let mut wave = BatchRunner::new(&schemes, true);
+            for i in 0..3 {
+                let cfg = StreamConfig::default();
+                let run = SessionRun::begin(&bank, &user, CongestionControl::Bbr, cfg, i, 40 + i);
+                wave.admit(i as usize, 0, run);
+            }
+            let mut finished = Vec::new();
+            wave.round(&mut pool, &user, &mut finished);
+            if let Some(c) = crash {
+                let a = wave.active.iter_mut().find(|a| a.index == c).expect("still running");
+                a.crashed = true;
+            }
+            while !wave.is_empty() {
+                wave.round(&mut pool, &user, &mut finished);
+            }
+            finished.sort_by_key(|f| f.0);
+            let summaries = |o: SessionOutcome| {
+                (o.total_time, o.streams.iter().map(|s| s.summary).collect::<Vec<_>>())
+            };
+            finished.into_iter().map(|(_, _, out)| out.map(summaries)).collect::<Vec<_>>()
+        };
+        let clean = run_wave(None);
+        let crashed = run_wave(Some(1));
+        assert!(clean.iter().all(Option::is_some));
+        assert_eq!(crashed[1], None, "the crashed session is retired without an outcome");
+        assert_eq!((&crashed[0], &crashed[2]), (&clean[0], &clean[2]));
     }
 }

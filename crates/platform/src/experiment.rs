@@ -10,12 +10,17 @@
 
 use crate::archive::TelemetrySpool;
 use crate::batch::BatchRunner;
-use crate::faults::{
-    observation_is_finite, poison_observations, DegradeAction, FaultPlan, Incident, IncidentKind,
-    NO_ARM, NO_SESSION,
+use crate::faults::DegradeAction::{
+    CsvOnly, KeptIncumbent, ObservationsDropped, Quarantined, RetriedTraining, RetrySucceeded,
+    RolledBack, ServedBba, ServedFrozen,
 };
+use crate::faults::IncidentKind::{
+    ArchiveIo, BadTelemetry, CheckpointTruncated, ModelUnavailable, RetrainRecovered,
+    RetrainRejected, SessionPanic,
+};
+use crate::faults::{observation_is_finite, poison_observations, FaultPlan, Incident, ModelOutage};
 use crate::scheme::SchemeSpec;
-use crate::session::{run_session, run_session_with_injected_panic, SessionOutcome};
+use crate::session::{SessionOutcome, SessionRun};
 use crate::stream::{QuitReason, StreamConfig};
 use crate::user::UserModel;
 use crate::MIN_CONSIDERED_WATCH;
@@ -29,7 +34,9 @@ use puffer_trace::TraceBank;
 use rand::Rng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// CONSORT-style stream accounting for one arm (Fig. A1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -183,16 +190,19 @@ fn mix_seed(master: u64, day: u32, index: usize, arm: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One accounted session; a quarantined session is its incident instead
+/// (`Err`), contributing no streams, duration, telemetry, or training
+/// observations.
 struct SessionResult {
     arm: usize,
     summaries: Vec<StreamSummary>,
     session_duration: f64,
     consort: ConsortCounts,
     observations: Vec<Vec<fugu::ChunkObservation>>,
-    /// The session panicked mid-run and was caught: exclude it from every
-    /// statistic and record a quarantine incident at aggregation.
-    quarantined: bool,
 }
+
+/// `(spec index, result)` for one session of the day.
+type IndexedResult = (usize, Result<SessionResult, Incident>);
 
 /// Per-arm ABR instances one worker reuses across its share of a day's
 /// sessions.  Instances are built lazily (a worker may never draw some arm)
@@ -203,7 +213,7 @@ pub(crate) struct ArmAbrs<'a> {
 }
 
 impl<'a> ArmAbrs<'a> {
-    fn new(schemes: &'a [SchemeSpec]) -> Self {
+    pub(crate) fn new(schemes: &'a [SchemeSpec]) -> Self {
         ArmAbrs { schemes, abrs: schemes.iter().map(|_| None).collect() }
     }
 
@@ -222,60 +232,6 @@ impl<'a> ArmAbrs<'a> {
 fn session_id(day: u32, index: usize) -> u64 {
     assert!((index as u64) < u64::from(u32::MAX), "session index must fit in 32 bits");
     (u64::from(day) << 32) | index as u64
-}
-
-fn run_one_session(
-    abr: &mut dyn Abr,
-    arm: usize,
-    bank: &TraceBank,
-    cfg: &ExperimentConfig,
-    session_id: u64,
-    seed: u64,
-) -> SessionOutcome {
-    let stream_cfg = StreamConfig { expt_id: arm as u32, ..StreamConfig::default() };
-    run_session(bank, abr, &cfg.user, cfg.cc, stream_cfg, session_id, seed)
-}
-
-fn run_one_session_panicking(
-    abr: &mut dyn Abr,
-    arm: usize,
-    bank: &TraceBank,
-    cfg: &ExperimentConfig,
-    session_id: u64,
-    seed: u64,
-    panic_after: u32,
-) -> SessionOutcome {
-    let stream_cfg = StreamConfig { expt_id: arm as u32, ..StreamConfig::default() };
-    run_session_with_injected_panic(
-        bank,
-        abr,
-        &cfg.user,
-        cfg.cc,
-        stream_cfg,
-        session_id,
-        seed,
-        panic_after,
-    )
-}
-
-/// Spill one finished session's telemetry to the worker's spool, tagged
-/// with the session's spec index — must run before [`account_session`]
-/// consumes the streams.  An injected archive fault at this coordinate
-/// surfaces as a synthetic I/O error, exactly like a real disk failure.
-fn spill_session(
-    spool: &mut Option<TelemetrySpool>,
-    day: u32,
-    faults: &FaultPlan,
-    tag: usize,
-    out: &SessionOutcome,
-) -> std::io::Result<()> {
-    if let Some(spool) = spool.as_mut() {
-        if faults.archive_error_at(day, tag as u64) {
-            return Err(std::io::Error::other("injected archive-sink fault"));
-        }
-        spool.add_session(tag as u64, out.streams.iter().map(|s| &s.telemetry))?;
-    }
-    Ok(())
 }
 
 /// Fold one session's outcome into the CONSORT accounting (Fig. A1).
@@ -303,51 +259,111 @@ fn account_session(arm: usize, out: SessionOutcome) -> SessionResult {
             observations.push(s.observations);
         }
     }
-    SessionResult { arm, summaries, session_duration, consort, observations, quarantined: false }
+    SessionResult { arm, summaries, session_duration, consort, observations }
 }
 
-/// The placeholder result of a panicked, caught session: counted only under
-/// [`ConsortCounts::quarantined`], contributing no streams, duration,
-/// telemetry, or training observations.
-fn quarantined_session(arm: usize) -> SessionResult {
-    SessionResult {
-        arm,
-        summaries: Vec::new(),
-        session_duration: 0.0,
-        consort: ConsortCounts::default(),
-        observations: Vec::new(),
-        quarantined: true,
-    }
-}
-
-/// Everything one worker brings back from a day.
+/// What one worker hands the merge phase at the end of a day.
 struct WorkerDay {
-    /// `(spec index, result)` pairs in completion order — the caller sorts
-    /// by index before aggregating.
-    results: Vec<(usize, SessionResult)>,
+    /// Results in completion order — the merge sorts by spec index.
+    results: Vec<IndexedResult>,
     /// The worker's finished spool file, if the archive sink is on and every
     /// write succeeded.
-    spool: Option<std::path::PathBuf>,
-    /// A spool abandoned after a write error (partial file awaiting
-    /// cleanup).
-    abandoned_spool: Option<std::path::PathBuf>,
-    /// Archive-degradation incidents this worker hit (the caller sorts them
-    /// by session coordinate, restoring scheduling independence).
+    spool: Option<PathBuf>,
+    /// Archive-sink failures.  Any one degrades the whole day to CSV-only;
+    /// the merge sorts them by session coordinate, restoring scheduling
+    /// independence.
     incidents: Vec<Incident>,
-    /// Any archive-sink operation failed: the day degrades to CSV-only.
-    archive_failed: bool,
+}
+
+/// One worker's day in flight.  Every session it finishes — inline or from
+/// the wave, completed or quarantined — goes through [`Worker::record`].
+struct Worker<'a> {
+    cfg: &'a ExperimentConfig,
+    day: u32,
+    /// The worker's private `.puf` spool; `None` when the archive sink is
+    /// off, or after a write error abandoned it (telemetry keeps flowing to
+    /// the in-memory statistics, only the on-disk archive degrades).
+    spool: Option<TelemetrySpool>,
+    out: WorkerDay,
+}
+
+impl<'a> Worker<'a> {
+    fn new(cfg: &'a ExperimentConfig, day: u32, worker: usize) -> Self {
+        let out = WorkerDay { results: Vec::new(), spool: None, incidents: Vec::new() };
+        let mut w = Worker { cfg, day, spool: None, out };
+        if let Some(dir) = &cfg.archive_sink {
+            match TelemetrySpool::create(dir, &format!(".spool_day{day}_worker{worker}.puf")) {
+                Ok(spool) => w.spool = Some(spool),
+                Err(_) => w.out.incidents.push(Incident::archive_io(day)),
+            }
+        }
+        w
+    }
+
+    /// The one path a finished session takes: spill its telemetry to the
+    /// spool (tagged with its spec index), account it, apply any injected
+    /// telemetry poisoning, and record the result.  `None` is a session that
+    /// unwound: it is quarantined and contributes only its incident.
+    fn record(&mut self, i: usize, arm: usize, outcome: Option<SessionOutcome>) {
+        let (day, faults) = (self.day, &self.cfg.faults);
+        let Some(outcome) = outcome else {
+            let after = faults.session_panic_after(day, i as u64).unwrap_or(0);
+            let incident =
+                Incident::of_session(day, arm, i, SessionPanic, Quarantined, after.into());
+            self.out.results.push((i, Err(incident)));
+            return;
+        };
+        if self.cfg.archive_sink.is_some() {
+            // An injected archive fault surfaces as a synthetic I/O error,
+            // exactly like a real disk failure.  It is probed even once an
+            // earlier error has abandoned the spool, so the log holds every
+            // injected fault whichever worker runs its session.
+            let spilled = match self.spool.as_mut() {
+                _ if faults.archive_error_at(day, i as u64) => {
+                    Err(std::io::Error::other("injected archive-sink fault"))
+                }
+                Some(spool) => {
+                    spool.add_session(i as u64, outcome.streams.iter().map(|s| &s.telemetry))
+                }
+                None => Ok(()),
+            };
+            if spilled.is_err() {
+                self.out.incidents.push(Incident::of_session(day, arm, i, ArchiveIo, CsvOnly, 0));
+                if let Some(spool) = self.spool.take() {
+                    let path = spool.path().to_owned();
+                    drop(spool);
+                    std::fs::remove_file(path).ok();
+                }
+            }
+        }
+        let mut res = account_session(arm, outcome);
+        if faults.nan_telemetry_at(day, i as u64) {
+            poison_observations(&mut res.observations);
+        }
+        self.out.results.push((i, Ok(res)));
+    }
+
+    /// Close the spool and hand the day to the merge.
+    fn finish(mut self) -> WorkerDay {
+        if let Some(spool) = self.spool {
+            let path = spool.path().to_owned();
+            match spool.finish() {
+                Ok(p) => self.out.spool = Some(p),
+                Err(_) => {
+                    self.out.incidents.push(Incident::archive_io(self.day));
+                    std::fs::remove_file(path).ok();
+                }
+            }
+        }
+        self.out
+    }
 }
 
 /// One worker's day: claim sessions off the shared counter until it runs
 /// dry.  Fugu-family sessions join the worker's [`BatchRunner`] wave (their
 /// chunk decisions are answered by batched TTP passes); everything else runs
-/// inline — including sessions carrying an injected panic fault, so the
-/// unwind is confined to one session and cannot take the wave down with it.
-///
-/// Every inline session runs under [`catch_unwind`]: a panic (injected or
-/// real) quarantines that session instead of killing the worker and the
-/// day.  Archive-sink errors abandon the spool and mark the day
-/// `archive_failed` instead of aborting.
+/// inline.  Either way a panicking session (injected or real) is caught and
+/// quarantined instead of killing the worker and the day.
 fn run_day_worker(
     specs: &[(usize, u64, u64)],
     next: &AtomicUsize,
@@ -357,74 +373,25 @@ fn run_day_worker(
     day: u32,
     worker: usize,
 ) -> WorkerDay {
-    let mut out: Vec<(usize, SessionResult)> = Vec::new();
-    let mut incidents: Vec<Incident> = Vec::new();
-    let mut archive_failed = false;
-    let mut abandoned_spool: Option<std::path::PathBuf> = None;
+    let mut w = Worker::new(cfg, day, worker);
     let mut pool = ArmAbrs::new(schemes);
-    let mut batcher =
-        if cfg.batch_streams { Some(BatchRunner::new(schemes, bank, cfg)) } else { None };
-    // Each worker spools telemetry to its own `.puf` file as sessions
-    // finish; the per-day merge in `run_rct` restores session order.
-    let mut spool = match cfg.archive_sink.as_ref() {
-        None => None,
-        Some(dir) => {
-            match TelemetrySpool::create(dir, &format!(".spool_day{day}_worker{worker}.puf")) {
-                Ok(s) => Some(s),
-                Err(_) => {
-                    incidents.push(Incident {
-                        day,
-                        arm: NO_ARM,
-                        session: NO_SESSION,
-                        kind: IncidentKind::ArchiveIo,
-                        action: DegradeAction::CsvOnly,
-                        value: 0,
-                    });
-                    archive_failed = true;
-                    None
-                }
-            }
-        }
-    };
-    // Abandon the spool after a write error: telemetry keeps flowing to the
-    // in-memory statistics, only the on-disk archive degrades.
-    let spill = |spool: &mut Option<TelemetrySpool>,
-                 abandoned: &mut Option<std::path::PathBuf>,
-                 incidents: &mut Vec<Incident>,
-                 archive_failed: &mut bool,
-                 i: usize,
-                 arm: usize,
-                 outcome: &SessionOutcome| {
-        if let Err(_e) = spill_session(spool, day, &cfg.faults, i, outcome) {
-            incidents.push(Incident {
-                day,
-                arm: arm as u32,
-                session: i as u64,
-                kind: IncidentKind::ArchiveIo,
-                action: DegradeAction::CsvOnly,
-                value: 0,
-            });
-            *archive_failed = true;
-            *abandoned = spool.take().map(|s| s.path().to_owned());
-        }
-    };
-    let mut finished: Vec<(usize, usize, SessionOutcome)> = Vec::new();
+    let mut wave = cfg.batch_streams.then(|| BatchRunner::new(schemes, cfg.batch_across_arms));
+    let mut finished = Vec::new();
     let mut exhausted = false;
     loop {
         // Claim work: batchable sessions fill the wave, others run inline.
-        while !exhausted && batcher.as_ref().is_none_or(BatchRunner::has_room) {
+        while !exhausted && wave.as_ref().is_none_or(BatchRunner::has_room) {
             // lint: atomic-ordering — RMW is already serialized; index alone claims the slot
             let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= specs.len() {
+            let Some(&(arm, id, seed)) = specs.get(i) else {
                 exhausted = true;
                 break;
-            }
-            let (arm, id, seed) = specs[i];
-            let panic_after = cfg.faults.session_panic_after(day, i as u64);
-            match batcher.as_mut() {
-                Some(b) if b.is_batchable(arm) && panic_after.is_none() => {
-                    b.admit(i, arm, id, seed)
-                }
+            };
+            let stream_cfg = StreamConfig { expt_id: arm as u32, ..StreamConfig::default() };
+            let run = SessionRun::begin(bank, &cfg.user, cfg.cc, stream_cfg, id, seed)
+                .with_injected_panic(cfg.faults.session_panic_after(day, i as u64));
+            match wave.as_mut() {
+                Some(b) if b.is_batchable(arm) => b.admit(i, arm, run),
                 _ => {
                     let mut fresh;
                     let abr: &mut dyn Abr = if cfg.reuse_abrs {
@@ -436,86 +403,19 @@ fn run_day_worker(
                     // The pooled ABR is safe to keep using after an unwind:
                     // `reset_stream` runs before every stream, clearing any
                     // state the panic left half-updated.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| match panic_after {
-                        Some(after) => {
-                            run_one_session_panicking(abr, arm, bank, cfg, id, seed, after)
-                        }
-                        None => run_one_session(abr, arm, bank, cfg, id, seed),
-                    }));
-                    match outcome {
-                        Ok(outcome) => {
-                            spill(
-                                &mut spool,
-                                &mut abandoned_spool,
-                                &mut incidents,
-                                &mut archive_failed,
-                                i,
-                                arm,
-                                &outcome,
-                            );
-                            let mut res = account_session(arm, outcome);
-                            if cfg.faults.nan_telemetry_at(day, i as u64) {
-                                poison_observations(&mut res.observations);
-                            }
-                            out.push((i, res));
-                        }
-                        Err(_) => out.push((i, quarantined_session(arm))),
-                    }
+                    let outcome = catch_unwind(AssertUnwindSafe(|| run.run_to_end(abr, &cfg.user)));
+                    w.record(i, arm, outcome.ok());
                 }
             }
         }
-        match batcher.as_mut() {
-            None => break, // every claimed session already ran inline
-            Some(b) => {
-                if b.is_empty() {
-                    if exhausted {
-                        break;
-                    }
-                    continue;
-                }
-                b.round(&mut pool, &cfg.user, &mut finished);
-                for (i, arm, outcome) in finished.drain(..) {
-                    spill(
-                        &mut spool,
-                        &mut abandoned_spool,
-                        &mut incidents,
-                        &mut archive_failed,
-                        i,
-                        arm,
-                        &outcome,
-                    );
-                    let mut res = account_session(arm, outcome);
-                    if cfg.faults.nan_telemetry_at(day, i as u64) {
-                        poison_observations(&mut res.observations);
-                    }
-                    out.push((i, res));
-                }
-            }
+        // An empty wave here means nothing is left to claim either.
+        let Some(b) = wave.as_mut().filter(|b| !b.is_empty()) else { break };
+        b.round(&mut pool, &cfg.user, &mut finished);
+        for (i, arm, outcome) in finished.drain(..) {
+            w.record(i, arm, outcome);
         }
     }
-    let spool_path = match spool {
-        None => None,
-        Some(s) => {
-            let path = s.path().to_owned();
-            match s.finish() {
-                Ok(p) => Some(p),
-                Err(_) => {
-                    incidents.push(Incident {
-                        day,
-                        arm: NO_ARM,
-                        session: NO_SESSION,
-                        kind: IncidentKind::ArchiveIo,
-                        action: DegradeAction::CsvOnly,
-                        value: 0,
-                    });
-                    archive_failed = true;
-                    abandoned_spool = Some(path);
-                    None
-                }
-            }
-        }
-    };
-    WorkerDay { results: out, spool: spool_path, abandoned_spool, incidents, archive_failed }
+    w.finish()
 }
 
 /// Run the RCT.  `schemes` defines the arms; Fugu arms flagged
@@ -523,221 +423,217 @@ fn run_day_worker(
 /// collected so far (14-day window, recency-weighted, warm-started) —
 /// behind a validation gate with one bounded retry and rollback
 /// (docs/ROBUSTNESS.md).
-pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResult {
+///
+/// Each day runs the same phases: outage ladder → assign → run → merge →
+/// aggregate → retrain → persist incidents.  Fault hooks live inside the
+/// phase they degrade, never between phases.
+pub fn run_rct(schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResult {
     assert!(!schemes.is_empty(), "need at least one arm");
     assert!(cfg.sessions_per_day > 0 && cfg.days > 0);
     let bank = if cfg.emulation_world { TraceBank::emulation() } else { TraceBank::puffer() };
     if cfg.faults.has_session_panics() {
         crate::faults::install_quiet_panic_hook();
     }
-
-    let mut arms: Vec<SchemeArm> = schemes
-        .iter()
-        .enumerate()
-        .map(|(i, s)| SchemeArm {
-            name: s.name(),
-            expt_id: i as u32,
-            streams: Vec::new(),
-            session_durations: Vec::new(),
-            consort: ConsortCounts::default(),
-        })
-        .collect();
-    // Day-0 snapshots back the Fugu → frozen-snapshot → BBA fallback ladder
-    // when an arm's serving model is unavailable.
-    let frozen_snapshots: Vec<Option<std::sync::Arc<Ttp>>> =
-        schemes.iter().map(|s| s.ttp().cloned()).collect();
-    let mut dataset = Dataset::new();
-    let mut total_sessions = 0usize;
-    let mut archive_paths = Vec::new();
-    let mut incidents: Vec<Incident> = Vec::new();
-
+    // Day-0 snapshots back the outage ladder's frozen rung.
+    let frozen: Vec<Option<Arc<Ttp>>> = schemes.iter().map(|s| s.ttp().cloned()).collect();
+    let mut rct = RctResult::start(schemes);
     for day in 0..cfg.days {
-        let day_incident_start = incidents.len();
-        // Degradation ladder: an arm whose serving model is unavailable
-        // today falls back to its frozen day-0 snapshot, and if that is
-        // unavailable too, to BBA.  `day_schemes` are clones of the live
-        // specs (Arc identity preserved, so batching groups are unchanged);
-        // the master `schemes` stay the retraining target.
-        let mut day_schemes = schemes.clone();
-        for (a, spec) in day_schemes.iter_mut().enumerate() {
-            let Some(outage) = cfg.faults.model_outage(day, a as u32) else {
-                continue;
-            };
-            let (variant, label, retrain_daily) = match spec {
-                SchemeSpec::Fugu { variant, label, retrain_daily, .. } => {
-                    (*variant, *label, *retrain_daily)
-                }
-                _ => continue, // only Fugu arms carry a servable model
-            };
-            match outage {
-                crate::faults::ModelOutage::Primary => {
-                    let Some(frozen) = &frozen_snapshots[a] else {
-                        continue;
-                    };
-                    *spec = SchemeSpec::Fugu { ttp: frozen.clone(), variant, label, retrain_daily };
-                    incidents.push(Incident {
-                        day,
-                        arm: a as u32,
-                        session: NO_SESSION,
-                        kind: IncidentKind::ModelUnavailable,
-                        action: DegradeAction::ServedFrozen,
-                        value: 1,
-                    });
-                }
-                crate::faults::ModelOutage::PrimaryAndFrozen => {
-                    *spec = SchemeSpec::Bba;
-                    incidents.push(Incident {
-                        day,
-                        arm: a as u32,
-                        session: NO_SESSION,
-                        kind: IncidentKind::ModelUnavailable,
-                        action: DegradeAction::ServedBba,
-                        value: 2,
-                    });
-                }
-            }
+        let day_start = rct.incidents.len();
+        let serving = rct.outage_ladder(day, &frozen, &cfg.faults);
+        let specs = assign(cfg, day, serving.len());
+        rct.total_sessions += specs.len();
+        let workers = run_day(&specs, &serving, &bank, cfg, day);
+        let (results, day_archive) = rct.merge(day, workers, cfg.archive_sink.as_deref());
+        rct.aggregate(day, results);
+        if let Some(train_cfg) = &cfg.retrain {
+            rct.retrain(day, train_cfg, cfg);
         }
+        rct.persist_day_incidents(day_archive.as_deref(), day_start);
+    }
+    rct.persist_incident_log(cfg);
+    rct
+}
 
-        // Blinded randomization: arm assignment depends only on the seed
-        // stream, never on the user or path.  The session's own randomness
-        // (user intent, path, trace, content) is seeded *without* the arm —
-        // common random numbers, so identical sessions landing in different
-        // arms differ only through the algorithm's decisions.
+/// Blinded randomization: arm assignment depends only on the seed stream,
+/// never on the user or path.  The session's own randomness (user intent,
+/// path, trace, content) is seeded *without* the arm — common random
+/// numbers, so identical sessions landing in different arms differ only
+/// through the algorithm's decisions.  Returns `(arm, session id, seed)` per
+/// session, in spec-index order.
+fn assign(cfg: &ExperimentConfig, day: u32, n_arms: usize) -> Vec<(usize, u64, u64)> {
+    let spec = |arm, i| (arm, session_id(day, i), mix_seed(cfg.seed, day, i, 0));
+    if cfg.paired {
+        // Within-subjects: every session under every arm.
+        (0..cfg.sessions_per_day).flat_map(|i| (0..n_arms).map(move |arm| spec(arm, i))).collect()
+    } else {
         let mut assign_rng =
             rand::rngs::StdRng::seed_from_u64(mix_seed(cfg.seed, day, usize::MAX, 0));
-        let specs: Vec<(usize, u64, u64)> = if cfg.paired {
-            // Within-subjects: every session under every arm.
-            (0..cfg.sessions_per_day)
-                .flat_map(|i| (0..schemes.len()).map(move |arm| (arm, i)))
-                .map(|(arm, i)| (arm, session_id(day, i), mix_seed(cfg.seed, day, i, 0)))
-                .collect()
-        } else {
-            (0..cfg.sessions_per_day)
-                .map(|i| {
-                    let arm = assign_rng.random_range(0..schemes.len());
-                    (arm, session_id(day, i), mix_seed(cfg.seed, day, i, 0))
-                })
-                .collect()
-        };
-        total_sessions += specs.len();
+        (0..cfg.sessions_per_day).map(|i| spec(assign_rng.random_range(0..n_arms), i)).collect()
+    }
+}
 
-        // Run the day's sessions.  Workers claim specs dynamically off a
-        // shared counter (heavy-tailed session lengths make pre-dealt shares
-        // badly imbalanced), so which worker runs which session is
-        // scheduling-dependent — but every session is a pure function of its
-        // seed and results are merged back in session-index order, so the
-        // output is deterministic and thread-count-independent.
-        // `cfg.threads` is an upper bound, not a demand: oversubscribing the
-        // machine's cores costs real time on this pure-CPU workload (context
-        // switches, and each extra worker splits the batch wave and carries
-        // its own ABR pool) while results are thread-count-independent, so
-        // capping at the available parallelism is observationally free.
-        let hw = std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZero::get);
-        let n_workers = cfg.threads.min(hw).min(specs.len()).max(1);
-        let next = AtomicUsize::new(0);
-        let mut worker_days: Vec<WorkerDay> = if n_workers <= 1 {
-            vec![run_day_worker(&specs, &next, &day_schemes, &bank, cfg, day, 0)]
-        } else {
-            let specs_ref = &specs;
-            let next_ref = &next;
-            let schemes_ref = &day_schemes;
-            let bank_ref = &bank;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            run_day_worker(specs_ref, next_ref, schemes_ref, bank_ref, cfg, day, w)
-                        })
-                    })
-                    .collect();
-                // A panic escaping here is a worker-level bug, not a session
-                // failure — sessions are isolated inside the worker.
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+/// Run the day's sessions.  Workers claim specs dynamically off a shared
+/// counter (heavy-tailed session lengths make pre-dealt shares badly
+/// imbalanced), so which worker runs which session is scheduling-dependent
+/// — but every session is a pure function of its seed and the merge restores
+/// session-index order, so the output is deterministic and
+/// thread-count-independent.
+///
+/// `cfg.threads` is an upper bound, not a demand: oversubscribing the
+/// machine's cores costs real time on this pure-CPU workload (context
+/// switches, and each extra worker splits the batch wave and carries its own
+/// ABR pool) while results are thread-count-independent, so capping at the
+/// available parallelism is observationally free.
+fn run_day(
+    specs: &[(usize, u64, u64)],
+    schemes: &[SchemeSpec],
+    bank: &TraceBank,
+    cfg: &ExperimentConfig,
+    day: u32,
+) -> Vec<WorkerDay> {
+    let hw = std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZero::get);
+    let n_workers = cfg.threads.min(hw).min(specs.len()).max(1);
+    let next = AtomicUsize::new(0);
+    if n_workers <= 1 {
+        return vec![run_day_worker(specs, &next, schemes, bank, cfg, day, 0)];
+    }
+    let next = &next;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n_workers)
+            .map(|w| scope.spawn(move || run_day_worker(specs, next, schemes, bank, cfg, day, w)))
+            .collect();
+        // A panic escaping here is a worker-level bug, not a session
+        // failure — sessions are isolated inside the worker.
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+    })
+}
+
+impl RctResult {
+    /// The empty result the day phases fill in; `schemes` are the live arm
+    /// specs the nightly retrain updates.
+    fn start(schemes: Vec<SchemeSpec>) -> RctResult {
+        let arms = schemes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| SchemeArm {
+                name: s.name(),
+                expt_id: i as u32,
+                streams: Vec::new(),
+                session_durations: Vec::new(),
+                consort: ConsortCounts::default(),
             })
-        };
-        let day_archive_failed = worker_days.iter().any(|w| w.archive_failed);
-        let mut indexed: Vec<(usize, SessionResult)> = Vec::new();
-        let mut spools: Vec<std::path::PathBuf> = Vec::new();
-        let mut abandoned: Vec<std::path::PathBuf> = Vec::new();
-        let mut worker_incidents: Vec<Incident> = Vec::new();
-        for w in worker_days.drain(..) {
-            indexed.extend(w.results);
+            .collect();
+        RctResult {
+            arms,
+            dataset: Dataset::new(),
+            total_sessions: 0,
+            archive_paths: Vec::new(),
+            incidents: Vec::new(),
+            schemes,
+        }
+    }
+
+    /// Outage ladder: the specs serving `day`.  An arm whose serving model
+    /// is unavailable falls back to its frozen day-0 snapshot, and if that
+    /// is unavailable too, to BBA.  The serving specs are clones of the live
+    /// specs (`Arc` identity preserved, so batching groups are unchanged);
+    /// the live specs stay the retraining target.
+    fn outage_ladder(
+        &mut self,
+        day: u32,
+        frozen: &[Option<Arc<Ttp>>],
+        faults: &FaultPlan,
+    ) -> Vec<SchemeSpec> {
+        let mut serving = self.schemes.clone();
+        for (a, spec) in serving.iter_mut().enumerate() {
+            // Only Fugu arms carry a servable model.
+            let (Some(outage), SchemeSpec::Fugu { ttp, .. }) =
+                (faults.model_outage(day, a as u32), &mut *spec)
+            else {
+                continue;
+            };
+            match outage {
+                ModelOutage::Primary => {
+                    *ttp = Arc::clone(frozen[a].as_ref().expect("a Fugu arm has a day-0 TTP"));
+                    let incident = Incident::of_arm(day, a, ModelUnavailable, ServedFrozen, 1);
+                    self.incidents.push(incident);
+                }
+                ModelOutage::PrimaryAndFrozen => {
+                    *spec = SchemeSpec::Bba;
+                    self.incidents.push(Incident::of_arm(day, a, ModelUnavailable, ServedBba, 2));
+                }
+            }
+        }
+        serving
+    }
+
+    /// Merge the workers' days.  Archive incidents are sorted by coordinate:
+    /// which worker hit a fault is scheduling-dependent, the coordinates are
+    /// not (injected faults are coordinate-keyed; real faults keep their
+    /// coordinates but may legitimately vary across runs).  The spools merge
+    /// into the day's archive, blocks reordered by session index so the
+    /// bytes are independent of which worker ran which session.  If *any*
+    /// worker's sink failed, the archive would be missing sessions
+    /// non-deterministically — so the whole day degrades to CSV-only
+    /// (deterministic at every thread count) and the spools are removed.
+    ///
+    /// Returns the day's results in session-index order and the day archive,
+    /// if one was written.
+    fn merge(
+        &mut self,
+        day: u32,
+        workers: Vec<WorkerDay>,
+        sink: Option<&Path>,
+    ) -> (Vec<IndexedResult>, Option<PathBuf>) {
+        let mut results = Vec::new();
+        let mut spools = Vec::new();
+        let mut worker_incidents = Vec::new();
+        for w in workers {
+            results.extend(w.results);
             spools.extend(w.spool);
-            abandoned.extend(w.abandoned_spool);
             worker_incidents.extend(w.incidents);
         }
-        // Which worker hit an archive fault is scheduling-dependent; the
-        // incident coordinates are not.  Sorting restores a deterministic
-        // log for injected faults (coordinate-keyed); real faults keep their
-        // coordinates but may legitimately vary across runs.
-        worker_incidents.sort_unstable_by_key(|inc| {
+        worker_incidents.sort_unstable_by_key(|inc: &Incident| {
             (inc.session, inc.arm, inc.kind.code(), inc.action.code(), inc.value)
         });
-        incidents.extend(worker_incidents);
-
-        // Merge per-worker spools into the day's archive.  Blocks are
-        // reordered by session index during the merge, so the merged bytes
-        // are independent of which worker ran which session.  If *any*
-        // worker's sink failed, the day's archive would be missing sessions
-        // non-deterministically — so the whole day degrades to CSV-only
-        // (deterministic at every thread count) and the spools are removed.
-        let mut day_archive_path: Option<std::path::PathBuf> = None;
-        if let Some(dir) = &cfg.archive_sink {
-            if day_archive_failed {
-                for s in spools.drain(..).chain(abandoned.drain(..)) {
-                    std::fs::remove_file(s).ok();
-                }
-            } else {
-                let day_path = dir.join(format!("telemetry_day{day}.puf"));
-                match crate::archive::merge_spools(&spools, &day_path) {
-                    Ok(()) => {
-                        for s in spools.drain(..) {
-                            std::fs::remove_file(s).ok();
-                        }
-                        archive_paths.push(day_path.clone());
-                        day_archive_path = Some(day_path);
-                    }
-                    Err(_) => {
-                        incidents.push(Incident {
-                            day,
-                            arm: NO_ARM,
-                            session: NO_SESSION,
-                            kind: IncidentKind::ArchiveIo,
-                            action: DegradeAction::CsvOnly,
-                            value: 0,
-                        });
-                        for s in spools.drain(..) {
-                            std::fs::remove_file(s).ok();
-                        }
-                        std::fs::remove_file(&day_path).ok();
-                    }
-                }
+        let archive_failed = !worker_incidents.is_empty();
+        self.incidents.extend(worker_incidents);
+        let day_archive = sink.filter(|_| !archive_failed).and_then(|dir| {
+            let day_path = dir.join(format!("telemetry_day{day}.puf"));
+            if crate::archive::merge_spools(&spools, &day_path).is_ok() {
+                return Some(day_path);
             }
+            self.incidents.push(Incident::archive_io(day));
+            std::fs::remove_file(&day_path).ok();
+            None
+        });
+        for s in spools {
+            std::fs::remove_file(s).ok();
         }
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        debug_assert!(indexed.iter().enumerate().all(|(k, &(i, _))| k == i));
+        self.archive_paths.extend(day_archive.clone());
+        results.sort_unstable_by_key(|&(i, _)| i);
+        debug_assert!(results.iter().enumerate().all(|(k, &(i, _))| k == i));
+        (results, day_archive)
+    }
 
-        // Aggregate in deterministic (session-index) order.  Quarantined
-        // sessions are excluded here — identically at any thread count,
-        // because exclusion keys on the session's spec index, not on which
-        // worker caught the panic.  Streams carrying non-finite telemetry
-        // features are kept in the QoE statistics but dropped from the
-        // training dataset: one NaN would poison the nightly retrain's
-        // scaler and every gradient after it.
-        for (i, r) in indexed {
-            let arm = &mut arms[r.arm];
-            if r.quarantined {
-                arm.consort.quarantined += 1;
-                incidents.push(Incident {
-                    day,
-                    arm: r.arm as u32,
-                    session: i as u64,
-                    kind: IncidentKind::SessionPanic,
-                    action: DegradeAction::Quarantined,
-                    value: u64::from(cfg.faults.session_panic_after(day, i as u64).unwrap_or(0)),
-                });
-                continue;
-            }
+    /// Aggregate in deterministic (session-index) order.  Quarantined
+    /// sessions are counted only as such — identically at any thread count,
+    /// because exclusion keys on the session's spec index, not on which
+    /// worker caught the panic.  Streams carrying non-finite telemetry
+    /// features are kept in the QoE statistics but dropped from the training
+    /// dataset: one NaN would poison the nightly retrain's scaler and every
+    /// gradient after it.
+    fn aggregate(&mut self, day: u32, results: Vec<IndexedResult>) {
+        for (i, r) in results {
+            let r = match r {
+                Ok(r) => r,
+                Err(quarantine) => {
+                    self.arms[quarantine.arm as usize].consort.quarantined += 1;
+                    self.incidents.push(quarantine);
+                    continue;
+                }
+            };
+            let arm = &mut self.arms[r.arm];
             arm.streams.extend(r.summaries);
             arm.session_durations.push(r.session_duration);
             arm.consort.sessions += r.consort.sessions;
@@ -747,154 +643,113 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
             arm.consort.considered += r.consort.considered;
             for stream_obs in r.observations {
                 if stream_obs.iter().all(observation_is_finite) {
-                    dataset.add_stream(day, stream_obs);
+                    self.dataset.add_stream(day, stream_obs);
                 } else {
-                    incidents.push(Incident {
-                        day,
-                        arm: r.arm as u32,
-                        session: i as u64,
-                        kind: IncidentKind::BadTelemetry,
-                        action: DegradeAction::ObservationsDropped,
-                        value: stream_obs.len() as u64,
-                    });
+                    let n = stream_obs.len() as u64;
+                    let incident =
+                        Incident::of_session(day, r.arm, i, BadTelemetry, ObservationsDropped, n);
+                    self.incidents.push(incident);
                 }
-            }
-        }
-
-        // Nightly retraining (§4.3): warm start from today's weights, gated
-        // before the swap (docs/ROBUSTNESS.md).  A candidate that fails the
-        // validation gate gets one bounded retry on an independent RNG
-        // stream; if that fails too, the incumbent keeps serving.
-        if let Some(train_cfg) = &cfg.retrain {
-            for (a, spec) in schemes.iter_mut().enumerate() {
-                if !spec.retrains_daily() {
-                    continue;
-                }
-                let Some(incumbent) = spec.ttp().cloned() else {
-                    incidents.push(Incident {
-                        day,
-                        arm: a as u32,
-                        session: NO_SESSION,
-                        kind: IncidentKind::RetrainSkipped,
-                        action: DegradeAction::SkippedRetrain,
-                        value: 0,
-                    });
-                    continue;
-                };
-                let gate = RetrainGate::default();
-                let fault = cfg.faults.retrain_fault(day, a as u32);
-                let mut accepted: Option<Ttp> = None;
-                for attempt in 0..2u8 {
-                    let mut candidate: Ttp = (*incumbent).clone();
-                    // Attempt 0 uses the stream retrains have always used
-                    // (zero-fault identity); the retry draws an independent
-                    // one so the re-shuffle differs.
-                    let stream = if attempt == 0 { usize::MAX - 1 } else { usize::MAX - 2 };
-                    let mut rng =
-                        rand::rngs::StdRng::seed_from_u64(mix_seed(cfg.seed, day, stream, 7));
-                    if train(&mut candidate, &dataset, day, train_cfg, &mut rng).is_none() {
-                        break; // empty window: nothing to retrain on
-                    }
-                    if let Some(f) = fault {
-                        if f.hits(attempt) {
-                            crate::faults::corrupt_ttp(f.mode, &mut candidate);
-                        }
-                    }
-                    let verdict = validate_retrained(
-                        &candidate,
-                        &incumbent,
-                        &dataset,
-                        day,
-                        train_cfg.window_days,
-                        &gate,
-                    );
-                    match (verdict, attempt) {
-                        (GateVerdict::Pass, 0) => {
-                            accepted = Some(candidate);
-                            break;
-                        }
-                        (GateVerdict::Pass, _) => {
-                            incidents.push(Incident {
-                                day,
-                                arm: a as u32,
-                                session: NO_SESSION,
-                                kind: IncidentKind::RetrainRecovered,
-                                action: DegradeAction::RetrySucceeded,
-                                value: 0,
-                            });
-                            accepted = Some(candidate);
-                            break;
-                        }
-                        (v, 0) => incidents.push(Incident {
-                            day,
-                            arm: a as u32,
-                            session: NO_SESSION,
-                            kind: IncidentKind::RetrainRejected,
-                            action: DegradeAction::RetriedTraining,
-                            value: u64::from(v.code()),
-                        }),
-                        (v, _) => incidents.push(Incident {
-                            day,
-                            arm: a as u32,
-                            session: NO_SESSION,
-                            kind: IncidentKind::RetrainRejected,
-                            action: DegradeAction::RolledBack,
-                            value: u64::from(v.code()),
-                        }),
-                    }
-                }
-                let Some(new_ttp) = accepted else {
-                    continue; // incumbent keeps serving
-                };
-                // Injected checkpoint truncation: the accepted model's
-                // checkpoint is cut mid-file before reload.  The loader must
-                // reject it (never panic), and the incumbent keeps serving —
-                // exactly what a crash between write and rename would do
-                // without the atomic-save path.
-                if cfg.faults.checkpoint_truncated(day, a as u32) {
-                    let text = fugu::checkpoint::save_to_string(&new_ttp);
-                    let cut = text.len() / 2;
-                    match fugu::checkpoint::load_from_str(&text[..cut]) {
-                        Err(_) => {
-                            incidents.push(Incident {
-                                day,
-                                arm: a as u32,
-                                session: NO_SESSION,
-                                kind: IncidentKind::CheckpointTruncated,
-                                action: DegradeAction::KeptIncumbent,
-                                value: cut as u64,
-                            });
-                        }
-                        Ok(reloaded) => spec.update_ttp(reloaded),
-                    }
-                } else {
-                    spec.update_ttp(new_ttp);
-                }
-            }
-        }
-
-        // Persist the day's incidents into the day archive (when one was
-        // written) as `BlockKind::Incident` blocks.  Failure here degrades
-        // silently — the run-level `incidents.csv` still carries the log.
-        if let Some(day_path) = &day_archive_path {
-            let day_slice = &incidents[day_incident_start..];
-            if !day_slice.is_empty() {
-                crate::archive::append_incidents(day_path, day_slice).ok();
             }
         }
     }
 
-    // The deterministic incident log lands next to the archives.  Nothing is
-    // written on a clean zero-fault run, keeping its outputs byte-identical
-    // to a build without the supervision layer.
-    if let Some(dir) = &cfg.archive_sink {
-        if !cfg.faults.is_empty() || !incidents.is_empty() {
-            std::fs::write(dir.join("incidents.csv"), crate::faults::incidents_csv(&incidents))
-                .ok();
+    /// Nightly retraining (§4.3): warm start from today's weights, gated
+    /// before the swap (docs/ROBUSTNESS.md).  An injected checkpoint
+    /// truncation cuts the accepted model's checkpoint mid-file before
+    /// reload: the loader must reject it (never panic), and the incumbent
+    /// keeps serving — exactly what a crash between write and rename would
+    /// do without the atomic-save path.
+    fn retrain(&mut self, day: u32, train_cfg: &TrainConfig, cfg: &ExperimentConfig) {
+        for a in 0..self.schemes.len() {
+            let spec = &self.schemes[a];
+            let Some(incumbent) = spec.ttp().filter(|_| spec.retrains_daily()).cloned() else {
+                continue;
+            };
+            let Some(new_ttp) = self.gated_retrain(day, a, &incumbent, train_cfg, cfg) else {
+                continue; // incumbent keeps serving
+            };
+            if !cfg.faults.checkpoint_truncated(day, a as u32) {
+                self.schemes[a].update_ttp(new_ttp);
+                continue;
+            }
+            let text = fugu::checkpoint::save_to_string(&new_ttp);
+            let cut = text.len() / 2;
+            match fugu::checkpoint::load_from_str(&text[..cut]) {
+                Ok(reloaded) => self.schemes[a].update_ttp(reloaded),
+                Err(_) => {
+                    let incident =
+                        Incident::of_arm(day, a, CheckpointTruncated, KeptIncumbent, cut as u64);
+                    self.incidents.push(incident);
+                }
+            }
         }
     }
 
-    RctResult { arms, dataset, total_sessions, archive_paths, incidents, schemes }
+    /// Train arm `a`'s candidate and put it through the validation gate.  A
+    /// rejected candidate gets one bounded retry on an independent RNG
+    /// stream; `None` if that fails too, or if the window holds no data.
+    fn gated_retrain(
+        &mut self,
+        day: u32,
+        a: usize,
+        incumbent: &Ttp,
+        train_cfg: &TrainConfig,
+        cfg: &ExperimentConfig,
+    ) -> Option<Ttp> {
+        let gate = RetrainGate::default();
+        let fault = cfg.faults.retrain_fault(day, a as u32);
+        for attempt in 0..2u8 {
+            let mut candidate = incumbent.clone();
+            // Attempt 0 uses the stream retrains have always used (zero-fault
+            // identity); the retry draws an independent one so the re-shuffle
+            // differs.
+            let stream = usize::MAX - 1 - usize::from(attempt);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(mix_seed(cfg.seed, day, stream, 7));
+            train(&mut candidate, &self.dataset, day, train_cfg, &mut rng)?;
+            if let Some(f) = fault.filter(|f| f.hits(attempt)) {
+                crate::faults::corrupt_ttp(f.mode, &mut candidate);
+            }
+            let window = train_cfg.window_days;
+            match validate_retrained(&candidate, incumbent, &self.dataset, day, window, &gate) {
+                GateVerdict::Pass => {
+                    if attempt > 0 {
+                        let incident =
+                            Incident::of_arm(day, a, RetrainRecovered, RetrySucceeded, 0);
+                        self.incidents.push(incident);
+                    }
+                    return Some(candidate);
+                }
+                verdict => {
+                    let action = if attempt == 0 { RetriedTraining } else { RolledBack };
+                    let code = u64::from(verdict.code());
+                    self.incidents.push(Incident::of_arm(day, a, RetrainRejected, action, code));
+                }
+            }
+        }
+        None
+    }
+
+    /// Persist the day's incidents into the day archive (when one was
+    /// written) as `BlockKind::Incident` blocks.  Failure here degrades
+    /// silently — the run-level `incidents.csv` still carries the log.
+    fn persist_day_incidents(&self, day_archive: Option<&Path>, day_start: usize) {
+        let day_slice = &self.incidents[day_start..];
+        if let (Some(path), false) = (day_archive, day_slice.is_empty()) {
+            crate::archive::append_incidents(path, day_slice).ok();
+        }
+    }
+
+    /// The deterministic incident log lands next to the archives.  Nothing
+    /// is written on a clean zero-fault run, keeping its outputs
+    /// byte-identical to a build without the supervision layer.
+    fn persist_incident_log(&self, cfg: &ExperimentConfig) {
+        let Some(dir) = &cfg.archive_sink else { return };
+        if !cfg.faults.is_empty() || !self.incidents.is_empty() {
+            let csv = crate::faults::incidents_csv(&self.incidents);
+            std::fs::write(dir.join("incidents.csv"), csv).ok();
+        }
+    }
 }
 
 /// Collect a TTP training dataset by running `sessions_per_day × days`
@@ -924,6 +779,7 @@ pub fn train_ttp_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::run_session;
     use fugu::TtpConfig;
 
     fn tiny_cfg(threads: usize) -> ExperimentConfig {

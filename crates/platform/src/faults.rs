@@ -28,7 +28,6 @@
 //! pass-through — outputs are byte-identical to a build without it.  See
 //! `docs/ROBUSTNESS.md` for the full contract.
 
-use crate::session::SessionOutcome;
 use fugu::{ChunkObservation, Ttp};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,7 +48,9 @@ pub enum IncidentKind {
     RetrainRejected,
     /// A rejected retrain's bounded retry passed the gate and was swapped in.
     RetrainRecovered,
-    /// An arm was flagged for retraining but carries no TTP.
+    /// An arm was flagged for retraining but carries no TTP.  Reserved: only
+    /// Fugu arms retrain and every Fugu arm carries a TTP, so the RCT never
+    /// emits it.
     RetrainSkipped,
     /// A freshly retrained checkpoint failed to reload (truncated on disk).
     CheckpointTruncated,
@@ -126,7 +127,8 @@ pub enum DegradeAction {
     ServedFrozen,
     /// The arm fell all the way back to BBA.
     ServedBba,
-    /// The nightly loop skipped the arm.
+    /// The nightly loop skipped the arm (reserved, like
+    /// [`IncidentKind::RetrainSkipped`]).
     SkippedRetrain,
 }
 
@@ -207,6 +209,44 @@ pub struct Incident {
 }
 
 impl Incident {
+    /// An event of session `session` (its spec index) of `day`, run by
+    /// `arm`: a panic, dropped telemetry, or a failed archive spill.
+    pub(crate) fn of_session(
+        day: u32,
+        arm: usize,
+        session: usize,
+        kind: IncidentKind,
+        action: DegradeAction,
+        value: u64,
+    ) -> Incident {
+        Incident { day, arm: arm as u32, session: session as u64, kind, action, value }
+    }
+
+    /// An event of one arm's model on `day`: an outage, a retrain verdict,
+    /// or a checkpoint that failed to reload.
+    pub(crate) fn of_arm(
+        day: u32,
+        arm: usize,
+        kind: IncidentKind,
+        action: DegradeAction,
+        value: u64,
+    ) -> Incident {
+        Incident { day, arm: arm as u32, session: NO_SESSION, kind, action, value }
+    }
+
+    /// An archive-sink failure not tied to one session (creating, closing
+    /// or merging a spool): `day` degrades to CSV-only.
+    pub(crate) fn archive_io(day: u32) -> Incident {
+        Incident {
+            day,
+            arm: NO_ARM,
+            session: NO_SESSION,
+            kind: IncidentKind::ArchiveIo,
+            action: DegradeAction::CsvOnly,
+            value: 0,
+        }
+    }
+
     /// Wire form for the `.puf` incident block.
     pub fn to_row(self) -> crate::archive_format::IncidentRow {
         crate::archive_format::IncidentRow {
@@ -601,12 +641,6 @@ pub fn poison_observations(observations: &mut [Vec<ChunkObservation>]) {
         first[0].tcp_info.delivery_rate = f64::NAN;
         first[0].transmission_time = f64::INFINITY;
     }
-}
-
-/// Whether a finished session contains any non-finite training features
-/// (used by the worker to know if the sanitizer will fire).
-pub fn outcome_has_poisoned_observations(out: &SessionOutcome) -> bool {
-    out.streams.iter().any(|s| !s.observations.iter().all(observation_is_finite))
 }
 
 /// Corrupt a retrained candidate in place, simulating diverged training.

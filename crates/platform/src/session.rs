@@ -56,6 +56,9 @@ pub struct SessionRun {
     stream_seq: u64,
     current: Option<(StreamRun, VideoSource)>,
     finished: bool,
+    /// Chunk decisions left before an injected panic
+    /// ([`SessionRun::with_injected_panic`]); `None` on a healthy session.
+    panic_in: Option<u32>,
 }
 
 impl SessionRun {
@@ -91,7 +94,20 @@ impl SessionRun {
             stream_seq: 0,
             finished: false,
             current: None,
+            panic_in: None,
         }
+    }
+
+    /// Arm the fault-injection harness's "session crashed mid-run" failure:
+    /// once `after` chunk decisions have been staged, the next
+    /// [`SessionRun::poll_decision`] panics with a
+    /// [`crate::faults::InjectedPanic`] payload instead of staging another.
+    /// A session that ends first completes normally.  This one check serves
+    /// every driver — inline and batched — so the panic lands on the same
+    /// decision either way.
+    pub(crate) fn with_injected_panic(mut self, after: Option<u32>) -> SessionRun {
+        self.panic_in = after;
+        self
     }
 
     /// Advance to the session's next chunk decision, finalizing ended
@@ -107,6 +123,12 @@ impl SessionRun {
                 {
                     let (stream, _) = self.current.as_mut().expect("checked above");
                     if stream.poll_decision(&self.conn) {
+                        if let Some(left) = self.panic_in.as_mut() {
+                            if *left == 0 {
+                                std::panic::panic_any(crate::faults::InjectedPanic);
+                            }
+                            *left -= 1;
+                        }
                         return true;
                     }
                 }
@@ -164,9 +186,15 @@ impl SessionRun {
         stream.advance(rung, &mut self.conn, source, abr, user, &mut self.rng);
     }
 
-    /// Whether the session has ended.
-    pub fn is_finished(&self) -> bool {
-        self.finished
+    /// Play the session out, letting `abr` choose every chunk — the
+    /// synchronous driver behind [`run_session`] and the RCT's inline
+    /// sessions.
+    pub(crate) fn run_to_end(mut self, abr: &mut dyn Abr, user: &UserModel) -> SessionOutcome {
+        while self.poll_decision(abr, user) {
+            let rung = abr.choose(&self.context());
+            self.advance(rung, abr, user);
+        }
+        self.finish()
     }
 
     /// Consume the machine into a [`SessionOutcome`].  Call only after
@@ -198,41 +226,7 @@ pub fn run_session(
     session_id: u64,
     seed: u64,
 ) -> SessionOutcome {
-    let mut run = SessionRun::begin(bank, user, cc, base_stream_cfg, session_id, seed);
-    while run.poll_decision(abr, user) {
-        let rung = abr.choose(&run.context());
-        run.advance(rung, abr, user);
-    }
-    run.finish()
-}
-
-/// Like [`run_session`], but panics (with a [`crate::faults::InjectedPanic`]
-/// payload) after `panic_after` chunk decisions — the fault-injection
-/// harness's "session crashed mid-run" failure.  Sessions that finish before
-/// reaching the panic point complete normally, so the fault still exercises
-/// the supervisor's quarantine path deterministically only when it fires.
-#[allow(clippy::too_many_arguments)] // mirrors run_session plus the panic point
-pub fn run_session_with_injected_panic(
-    bank: &TraceBank,
-    abr: &mut dyn Abr,
-    user: &UserModel,
-    cc: CongestionControl,
-    base_stream_cfg: StreamConfig,
-    session_id: u64,
-    seed: u64,
-    panic_after: u32,
-) -> SessionOutcome {
-    let mut run = SessionRun::begin(bank, user, cc, base_stream_cfg, session_id, seed);
-    let mut decisions = 0u32;
-    while run.poll_decision(abr, user) {
-        if decisions >= panic_after {
-            std::panic::panic_any(crate::faults::InjectedPanic);
-        }
-        decisions += 1;
-        let rung = abr.choose(&run.context());
-        run.advance(rung, abr, user);
-    }
-    run.finish()
+    SessionRun::begin(bank, user, cc, base_stream_cfg, session_id, seed).run_to_end(abr, user)
 }
 
 #[cfg(test)]

@@ -81,8 +81,28 @@ fn parse_flags(args: &[String], booleans: &[&str]) -> BTreeMap<String, String> {
     out
 }
 
+/// The value of `--key`, or `default` when the flag is absent.  A value
+/// that does not parse prints the usage and exits 2.
 fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, default: T) -> T {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    let Some(v) = flags.get(key) else { return default };
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value '{v}' for --{key}");
+        usage()
+    })
+}
+
+/// [`get`] for a count that must be at least 1 (`--sessions`, `--days`).
+fn get_count<T: std::str::FromStr + Default + PartialEq>(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: T,
+) -> T {
+    let n = get(flags, key, default);
+    if n == T::default() {
+        eprintln!("--{key} must be at least 1");
+        usage();
+    }
+    n
 }
 
 fn scheme_by_name(name: &str) -> Option<SchemeSpec> {
@@ -164,8 +184,8 @@ fn cmd_collect(flags: BTreeMap<String, String>) -> ExitCode {
     };
     let cfg = ExperimentConfig {
         seed: get(&flags, "seed", 1),
-        sessions_per_day: get(&flags, "sessions", 100),
-        days: get(&flags, "days", 2),
+        sessions_per_day: get_count(&flags, "sessions", 100),
+        days: get_count(&flags, "days", 2),
         emulation_world: flags.contains_key("emulation"),
         retrain: None,
         ..ExperimentConfig::default()
@@ -248,14 +268,18 @@ fn cmd_run_rct(flags: BTreeMap<String, String>) -> ExitCode {
     }
     let mut cfg = ExperimentConfig {
         seed: get(&flags, "seed", 1),
-        sessions_per_day: get(&flags, "sessions", 100),
-        days: get(&flags, "days", 2),
+        sessions_per_day: get_count(&flags, "sessions", 100),
+        days: get_count(&flags, "days", 2),
         emulation_world: flags.contains_key("emulation"),
         paired: flags.contains_key("paired"),
         archive_sink: flags.get("archive").map(PathBuf::from),
         ..ExperimentConfig::default()
     };
     let fault_rate: f64 = get(&flags, "fault-rate", 0.0);
+    if !(0.0..=1.0).contains(&fault_rate) {
+        eprintln!("--fault-rate must be in [0, 1]");
+        usage();
+    }
     if fault_rate > 0.0 {
         cfg.faults = FaultPlan::seeded(
             cfg.seed,
@@ -581,22 +605,35 @@ fn cmd_power_analysis(flags: BTreeMap<String, String>) -> ExitCode {
     let seed: u64 = get(&flags, "seed", 1);
     let improvement: f64 = get(&flags, "improvement", 0.15);
     let n_boot: usize = get(&flags, "boot", 200);
+    if n_boot < 10 || !(0.0..1.0).contains(&improvement) {
+        eprintln!("power-analysis needs --boot of at least 10 and --improvement in [0, 1)");
+        usage();
+    }
     let confidence = 0.95;
     let cuts: Vec<f64> = flags
         .get("cuts")
         .map(String::as_str)
         .unwrap_or("5000,50000,500000")
         .split(',')
-        .map(|c| c.trim().parse().unwrap_or_else(|_| panic!("bad cut '{c}'")))
+        .map(|c| {
+            c.trim().parse().unwrap_or_else(|_| {
+                eprintln!("invalid value '{c}' in --cuts");
+                usage()
+            })
+        })
         .collect();
+    if !cuts.windows(2).all(|w| w[0] < w[1]) {
+        eprintln!("--cuts must be ascending");
+        usage();
+    }
     let max_cut = cuts.last().copied().expect("need at least one cut");
     let dir = Path::new(out_dir);
 
     // Phase 1: a small real RCT, telemetry spilled straight to `.puf`.
     let cfg = ExperimentConfig {
         seed,
-        sessions_per_day: get(&flags, "sessions", 150),
-        days: get(&flags, "days", 2),
+        sessions_per_day: get_count(&flags, "sessions", 150),
+        days: get_count(&flags, "days", 2),
         retrain: None,
         archive_sink: Some(dir.to_path_buf()),
         ..ExperimentConfig::default()

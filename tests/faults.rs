@@ -9,13 +9,13 @@
 //! The CI fault matrix re-runs this file with `FAULT_MATRIX_THREADS` set to
 //! 1, 2, and 8; without the variable each test sweeps all three locally.
 
-use puffer_repro::fugu::{TrainConfig, Ttp, TtpConfig};
+use puffer_repro::fugu::{TrainConfig, Ttp, TtpConfig, TtpVariant};
 use puffer_repro::platform::experiment::run_rct;
 use puffer_repro::platform::{
     DegradeAction, ExperimentConfig, FaultPlan, Incident, IncidentKind, ModelOutage, RetrainFault,
-    SchemeSpec,
+    SchemeSpec, UserModel,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn thread_counts() -> Vec<usize> {
@@ -104,16 +104,65 @@ fn mixed_plan() -> FaultPlan {
         .with_archive_error(0, 9)
 }
 
+/// [`mixed_plan`]'s per-arm fingerprint and incident log for
+/// [`faulted_schemes`] under [`faulted_cfg`], recorded before batched-arm
+/// sessions carrying a panic joined the wave (they ran inline then).  Both
+/// panics land on the Fugu arm (index 2), so this pins wave quarantine
+/// against the old inline path.
+fn mixed_plan_pin() -> (Fingerprint, Vec<Incident>) {
+    let fingerprint = vec![
+        (20, 0, 2195.6597047798214, 127.60086587282244),
+        (49, 0, 2771.496889627782, 452.97267045918466),
+        (31, 2, 3178.0036107411274, 253.13623313944007),
+        (27, 0, 2581.899576707236, 208.5057430311246),
+    ];
+    let incident = |day, arm, session, kind, action, value| Incident {
+        day,
+        arm,
+        session,
+        kind,
+        action,
+        value,
+    };
+    let incidents = vec![
+        incident(0, 0, 9, IncidentKind::ArchiveIo, DegradeAction::CsvOnly, 0),
+        incident(0, 2, 3, IncidentKind::SessionPanic, DegradeAction::Quarantined, 2),
+        incident(0, 1, 5, IncidentKind::BadTelemetry, DegradeAction::ObservationsDropped, 115),
+        incident(1, 2, 7, IncidentKind::SessionPanic, DegradeAction::Quarantined, 0),
+    ];
+    (fingerprint, incidents)
+}
+
+/// Inline arms plus a Fugu / Point-Estimate pair sharing one TTP, so the
+/// faults hit both the inline path and the batched wave.
+fn faulted_schemes() -> Vec<SchemeSpec> {
+    let shared = Arc::new(Ttp::new(TtpConfig::default(), 42));
+    vec![
+        SchemeSpec::Bba,
+        SchemeSpec::MpcHm,
+        SchemeSpec::fugu_frozen_shared(&shared, TtpVariant::Full, "Fugu"),
+        SchemeSpec::fugu_frozen_shared(&shared, TtpVariant::PointEstimate, "Point Estimate"),
+    ]
+}
+
+/// Seed 22 with [`mixed_plan`] and the archive sink on; sessions capped at
+/// ten minutes keep the Fugu arms quick in debug builds.
+fn faulted_cfg(threads: usize, dir: &Path) -> ExperimentConfig {
+    ExperimentConfig {
+        user: UserModel { intent_cap: 600.0, ..UserModel::default() },
+        archive_sink: Some(dir.to_path_buf()),
+        faults: mixed_plan(),
+        ..base_cfg(22, threads)
+    }
+}
+
 #[test]
 fn faulted_runs_are_deterministic_across_thread_counts() {
-    let schemes = || vec![SchemeSpec::Bba, SchemeSpec::MpcHm];
-    let mut baseline: Option<(Fingerprint, Vec<Incident>)> = None;
+    let pin = mixed_plan_pin();
     for threads in thread_counts() {
         let dir = temp_dir(&format!("det_t{threads}"));
-        let mut cfg = base_cfg(22, threads);
-        cfg.archive_sink = Some(dir.clone());
-        cfg.faults = mixed_plan();
-        let result = run_rct(schemes(), &cfg);
+        let cfg = faulted_cfg(threads, &dir);
+        let result = run_rct(faulted_schemes(), &cfg);
 
         // The panicked sessions surface as quarantines, never as a crash.
         let quarantined: usize = result.arms.iter().map(|a| a.consort.quarantined).sum();
@@ -135,14 +184,33 @@ fn faulted_runs_are_deterministic_across_thread_counts() {
         let csv = std::fs::read_to_string(dir.join("incidents.csv")).unwrap();
         assert!(csv.starts_with("day,arm,session,kind,action,value"));
 
-        let fp = (fingerprint(&result), result.incidents);
-        match &baseline {
-            None => baseline = Some(fp),
-            Some(b) => {
-                assert_eq!(b.0, fp.0, "results diverged at {threads} threads");
-                assert_eq!(b.1, fp.1, "incident log diverged at {threads} threads");
-            }
-        }
+        assert_eq!(fingerprint(&result), pin.0, "results diverged at {threads} threads");
+        assert_eq!(result.incidents, pin.1, "incident log diverged at {threads} threads");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn every_injected_archive_error_is_logged_at_any_thread_count() {
+    // The first error abandons its worker's spool; the later faults of the
+    // day must still be logged, or the log would depend on which worker ran
+    // which session.
+    let sessions = [2u64, 5, 9, 12];
+    let plan = sessions.iter().fold(FaultPlan::none(), |p, &s| p.with_archive_error(0, s));
+    for threads in thread_counts() {
+        let dir = temp_dir(&format!("archive_errors_t{threads}"));
+        let mut cfg = base_cfg(26, threads);
+        cfg.archive_sink = Some(dir.clone());
+        cfg.faults = plan.clone();
+        let result = run_rct(vec![SchemeSpec::Bba, SchemeSpec::MpcHm], &cfg);
+        let logged: Vec<u64> = result
+            .incidents
+            .iter()
+            .filter(|i| i.kind == IncidentKind::ArchiveIo && i.action == DegradeAction::CsvOnly)
+            .map(|i| i.session)
+            .collect();
+        assert_eq!(logged, sessions, "threads {threads}");
+        assert_eq!(result.archive_paths, vec![dir.join("telemetry_day1.puf")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

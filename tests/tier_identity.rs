@@ -1,7 +1,7 @@
 //! Cross-tier × cross-arm-batching bit-identity at the experiment level.
 //!
-//! The kernel family in `puffer-nn` dispatches AVX2+FMA → AVX+FMA → scalar
-//! at runtime; `docs/BATCHING.md` argues all tiers are bit-identical, and the
+//! The kernel family in `puffer-nn` dispatches AVX+FMA → scalar at runtime;
+//! `docs/BATCHING.md` argues all tiers are bit-identical, and the
 //! unit/property tests pin that per kernel.  This test pins it end-to-end:
 //! a whole RCT — including two ablation arms sharing one TTP snapshot, the
 //! cross-arm batching case — must produce identical arm summaries on every
